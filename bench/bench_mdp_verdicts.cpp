@@ -14,8 +14,9 @@
 //   gdp2c (prose-faithful): progress + lockout-freedom everywhere checked;
 //   sampled E[steps to first meal] ≈ exact (within sampling noise).
 //
-// Verdicts run on the parallel model checker (gdp::mdp::par); the sampling
-// cross-check runs as one campaign on the shared work-stealing pool.
+// Verdicts run on the model checker (gdp::mdp, exploration on the pool);
+// the sampling cross-check runs as one campaign on the shared work-stealing
+// pool.
 #include "bench_util.hpp"
 
 #include <thread>
@@ -24,7 +25,8 @@
 #include "gdp/exp/runner.hpp"
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/chain_analysis.hpp"
-#include "gdp/mdp/par/par.hpp"
+#include "gdp/mdp/fair_progress.hpp"
+#include "gdp/mdp/model.hpp"
 #include "gdp/mdp/quant/quant.hpp"
 
 using namespace gdp;
@@ -71,15 +73,15 @@ int main() {
       const auto algo = algos::make_algorithm(name);
       // The book-keeping algorithms explode on ring+pendant (> 4M states);
       // a tighter cap keeps the run short and the rows honestly "unknown".
-      mdp::par::CheckOptions opts;
+      mdp::CheckOptions opts;
       opts.max_states = (name == "gdp2" || name == "gdp2c") ? 1'000'000 : 4'000'000;
-      const auto model = mdp::par::explore(*algo, t, opts);
-      const auto progress = mdp::par::check_fair_progress(model, ~std::uint64_t{0}, opts);
+      const auto model = mdp::explore(*algo, t, opts);
+      const auto progress = mdp::check_fair_progress(model, ~std::uint64_t{0});
 
       bool lockout_free = true;
       bool lockout_known = true;
       for (PhilId v = 0; v < t.num_phils(); ++v) {
-        const auto lf = mdp::par::check_lockout_freedom(model, v, opts);
+        const auto lf = mdp::check_lockout_freedom(model, v);
         if (lf.verdict == mdp::Verdict::kUnknownTruncated) lockout_known = false;
         if (lf.verdict == mdp::Verdict::kProgressFails) lockout_free = false;
       }

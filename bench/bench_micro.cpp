@@ -57,7 +57,7 @@ void BM_MdpExplore(benchmark::State& state) {
   const auto algo = algos::make_algorithm("lr1");
   const auto t = graph::classic_ring(static_cast<int>(state.range(0)));
   for (auto _ : state) {
-    const auto model = mdp::explore(*algo, t, 2'000'000);
+    const auto model = mdp::explore(*algo, t, {.threads = 1, .max_states = 2'000'000});
     benchmark::DoNotOptimize(model.num_states());
     state.counters["states"] = static_cast<double>(model.num_states());
   }
@@ -68,7 +68,7 @@ BENCHMARK(BM_MdpExplore)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
 void BM_FairProgressCheck(benchmark::State& state) {
   const auto algo = algos::make_algorithm("lr1");
   const auto t = graph::parallel_arcs(3);
-  const auto model = mdp::explore(*algo, t, 1'000'000);
+  const auto model = mdp::explore(*algo, t, {.max_states = 1'000'000});
   for (auto _ : state) {
     benchmark::DoNotOptimize(mdp::check_fair_progress(model));
   }

@@ -20,7 +20,8 @@
 #include "gdp/exp/runner.hpp"
 #include "gdp/graph/algorithms.hpp"
 #include "gdp/graph/builders.hpp"
-#include "gdp/mdp/par/par.hpp"
+#include "gdp/mdp/fair_progress.hpp"
+#include "gdp/mdp/model.hpp"
 
 using namespace gdp;
 
@@ -49,17 +50,17 @@ int main() {
                         {graph::ring_with_chord(4), 4}};
   for (const auto& c : cases) {
     const bool premise = graph::thm1_premise(c.topo).has_value();
-    mdp::par::CheckOptions opts;
-    const auto lr1_model = mdp::par::explore(*algos::make_algorithm("lr1"), c.topo, opts);
-    const auto lr1_global = mdp::par::check_fair_progress(lr1_model);
-    const auto lr1_ring = mdp::par::check_fair_progress(lr1_model, ring_mask(c.ring_size));
+    mdp::CheckOptions opts;
+    const auto lr1_model = mdp::explore(*algos::make_algorithm("lr1"), c.topo, opts);
+    const auto lr1_global = mdp::check_fair_progress(lr1_model);
+    const auto lr1_ring = mdp::check_fair_progress(lr1_model, ring_mask(c.ring_size));
     // GDP1's guarantee (Theorem 3) is *global* progress; subset progress is
     // not promised (GDP1 is not lockout-free, §5), so we report the global
     // verdict for it.
-    mdp::par::CheckOptions gdp1_opts;
+    mdp::CheckOptions gdp1_opts;
     gdp1_opts.max_states = 3'000'000;
-    const auto gdp1_ring = mdp::par::check_fair_progress(*algos::make_algorithm("gdp1"),
-                                                         c.topo, gdp1_opts);
+    const auto gdp1_ring =
+        mdp::check_fair_progress(*algos::make_algorithm("gdp1"), c.topo, gdp1_opts);
     verdicts.add_row({c.topo.name(), premise ? "yes" : "no",
                       lr1_global.holds() ? "progress" : "FAILS",
                       lr1_ring.holds() ? "progress" : "FAILS",

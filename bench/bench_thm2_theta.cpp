@@ -21,16 +21,18 @@
 #include "gdp/exp/runner.hpp"
 #include "gdp/graph/algorithms.hpp"
 #include "gdp/graph/builders.hpp"
-#include "gdp/mdp/par/par.hpp"
+#include "gdp/mdp/fair_progress.hpp"
+#include "gdp/mdp/model.hpp"
 #include "gdp/mdp/quant/quant.hpp"
 #include "gdp/mdp/store/store.hpp"
+#include "gdp/mdp/witness.hpp"
 #include "gdp/sim/state.hpp"
 
 using namespace gdp;
 
 int main(int argc, char** argv) {
   // Model-checker worker threads (0 = hardware concurrency); lets the
-  // speedup of the parallel engine be measured: ./bench_thm2_theta 1 vs N.
+  // speedup of the pool-backed layers be measured: ./bench_thm2_theta 1 vs N.
   // The optional second argument picks sections, e.g. "d" runs only the
   // store-spill exploration (what `ci.sh bench-smoke` exercises).
   const int threads = argc > 1 ? std::atoi(argv[1]) : 0;
@@ -46,12 +48,12 @@ int main(int argc, char** argv) {
   bench::banner("E4: Theorem 2 (theta graphs vs LR2)",
                 "Theorem 2 and Figure 3",
                 "LR2 fails on (and only on) graphs with two nodes joined by >= 3 paths");
-  mdp::par::CheckOptions opts;
+  mdp::CheckOptions opts;
   opts.threads = threads;
   opts.max_states = 3'000'000;
 
   if (want('a')) {
-  std::printf("(a) model-checked verdicts + quantitative bounds (gdp::mdp::par + gdp::mdp::quant,\n"
+  std::printf("(a) model-checked verdicts + quantitative bounds (gdp::mdp + gdp::mdp::quant,\n"
               "    threads=%d [0=hw]):\n", threads);
   stats::Table verdicts({"topology", "thm2 premise", "lr2 verdict", "lr2 Pmin", "lr2 E[max]",
                          "gdp2 verdict", "gdp2 Pmin", "gdp2 E[max]"});
@@ -79,8 +81,8 @@ int main(int argc, char** argv) {
     std::vector<std::string> row{t.name(), premise ? "yes" : "no"};
     for (const char* name : {"lr2", "gdp2"}) {
       const auto algo = algos::make_algorithm(name);
-      const auto model = mdp::par::explore(*algo, t, opts);
-      const auto verdict = mdp::par::check_fair_progress(model, ~std::uint64_t{0}, opts);
+      const auto model = mdp::explore(*algo, t, opts);
+      const auto verdict = mdp::check_fair_progress(model, ~std::uint64_t{0});
       mdp::quant::QuantOptions qopts;
       qopts.threads = opts.threads;
       qopts.max_states = opts.max_states;
@@ -129,7 +131,7 @@ int main(int argc, char** argv) {
   for (const KeyCase& kc : key_cases) {
     const auto algo = algos::make_algorithm(kc.algo);
     mdp::StateIndex index;
-    const auto model = mdp::par::explore_indexed(*algo, kc.t, index, opts);
+    const auto model = mdp::explore_indexed(*algo, kc.t, index, opts);
     const auto& codec = index.codec();
     const std::size_t packed = codec.key_bytes();
     const std::size_t legacy = codec.legacy_key_bytes();
@@ -200,7 +202,7 @@ int main(int argc, char** argv) {
     stats::Table table({"cap", "states", "states/s", "peak RSS MB", "spill MB"});
     const std::size_t caps[] = {100'000, 1'000'000};
     for (std::size_t i = 0; i < std::size(caps); ++i) {
-      mdp::par::CheckOptions copts;
+      mdp::CheckOptions copts;
       copts.threads = threads;
       copts.max_states = caps[i];
       mdp::store::StoreOptions sopts;
@@ -236,7 +238,7 @@ int main(int argc, char** argv) {
     // instead of materializing (store.materializations stays 0 here), which
     // is the whole point of analyzing out-of-core models in place.
     {
-      mdp::par::CheckOptions copts;
+      mdp::CheckOptions copts;
       copts.threads = threads;
       copts.max_states = 100'000;
       mdp::store::StoreOptions sopts;
@@ -246,7 +248,7 @@ int main(int argc, char** argv) {
       sopts.max_resident_chunks = 4;              // so the 4-chunk window pages
       const auto bounded = mdp::store::explore(*algo, t, sopts, copts);
       obs::Span verdict_span("bench.store_verdict");
-      const auto verdict = mdp::store::check_fair_progress(bounded, ~std::uint64_t{0}, copts);
+      const auto verdict = mdp::store::check_fair_progress(bounded, ~std::uint64_t{0});
       verdict_span.stop();
       std::printf("  chunk-native verdict (budget 4 of %zu chunks): %s in %.2fs, "
                   "peak resident %.1f MB of %.1f MB spilled\n",

@@ -14,6 +14,10 @@
 #                                    (GDP_OBS_TIMELINE / GDP_OBS_PROGRESS) and
 #                                    validate TRACE_thm2_theta.json plus the
 #                                    stderr heartbeat stream.
+#        ./ci.sh verifybench-smoke — build the benchmark harness (verifybench/)
+#                                    and run each of its three workloads for
+#                                    ~1 s; fails unless every pinned check
+#                                    passes.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -67,6 +71,22 @@ if [[ "${1:-}" == "bench-smoke" ]]; then
   echo "=== bench-smoke: validate + summarize the trace ==="
   python3 tools/obs/summarize_trace.py build/bench-smoke/bench/TRACE_thm2_theta.json
   echo "=== bench-smoke green ==="
+  exit 0
+fi
+
+# Smoke-test the benchmark harness: tier-1 never compiles verifybench/, so
+# this is what keeps it building against the library. run.py exits 0 even
+# when checks fail, so the gate is the "correct" field of its last line.
+if [[ "${1:-}" == "verifybench-smoke" ]]; then
+  for workload in theorem2_quant lockout_matrix store_out_of_core; do
+    echo "=== verifybench-smoke: ${workload} ==="
+    result="$(python3 verifybench/run.py --workload "${workload}" --seed 1 --seconds 1 \
+      --trace 0 | tail -n 1)"
+    echo "${result}"
+    python3 -c 'import json, sys; sys.exit(json.loads(sys.argv[1])["correct"] is not True)' \
+      "${result}" || { echo "verifybench-smoke: ${workload} failed its checks" >&2; exit 1; }
+  done
+  echo "=== verifybench-smoke green ==="
   exit 0
 fi
 

@@ -1,7 +1,7 @@
 // Model-check an algorithm on a small topology: decides the paper's
 // progress and lockout-freedom properties under every fair adversary.
-// Runs on the parallel engine (gdp::mdp::par) — results are bit-identical
-// to the sequential checker at every thread count.
+// Exploration and the quant sweeps run on the shared pool — results are
+// bit-identical at every thread count.
 //
 //   $ ./model_check [algorithm] [topology] [max_states] [threads]
 //
@@ -12,8 +12,11 @@
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/chain_analysis.hpp"
-#include "gdp/mdp/par/par.hpp"
+#include "gdp/mdp/end_components.hpp"
+#include "gdp/mdp/fair_progress.hpp"
+#include "gdp/mdp/model.hpp"
 #include "gdp/mdp/quant/quant.hpp"
+#include "gdp/mdp/witness.hpp"
 #include "gdp/obs/obs.hpp"
 #include "gdp/obs/timeline.hpp"
 #include "gdp/sim/engine.hpp"
@@ -39,7 +42,7 @@ int main(int argc, char** argv) {
   const std::string algo_name = argc > 1 ? argv[1] : "lr1";
   const std::string topo_name = argc > 2 ? argv[2] : "parallel3";
 
-  mdp::par::CheckOptions opts;
+  mdp::CheckOptions opts;
   std::size_t max_states = 2'000'000;
   try {
     if (argc > 3) max_states = std::stoull(argv[3]);
@@ -60,16 +63,16 @@ int main(int argc, char** argv) {
   std::printf("Model checking %s on %s (state cap %zu, threads %d [0=hw])...\n\n",
               algo_name.c_str(), t.name().c_str(), max_states, opts.threads);
   mdp::StateIndex index;
-  const auto model = mdp::par::explore_indexed(*algo, t, index, opts);
+  const auto model = mdp::explore_indexed(*algo, t, index, opts);
   std::printf("explored %zu states (%zu state-action rows)%s\n", model.num_states(),
               model.num_rows(), model.truncated() ? " [TRUNCATED]" : "");
 
-  const auto progress = mdp::par::check_fair_progress(model, ~std::uint64_t{0}, opts);
+  const auto progress = mdp::check_fair_progress(model, ~std::uint64_t{0});
   std::printf("\nProgress (T --fair-->_1 E):\n  %s\n", progress.summary().c_str());
 
   std::printf("\nLockout-freedom (T_i --fair-->_1 E_i):\n");
   for (PhilId v = 0; v < t.num_phils(); ++v) {
-    const auto lf = mdp::par::check_lockout_freedom(model, v, opts);
+    const auto lf = mdp::check_lockout_freedom(model, v);
     std::printf("  P%d: %s\n", v, lf.summary().c_str());
   }
 
@@ -113,7 +116,7 @@ int main(int argc, char** argv) {
   // If the checker found a fair no-progress trap, execute it.
   if (progress.verdict == mdp::Verdict::kProgressFails) {
     std::printf("\nSynthesizing the witness adversary and running it live...\n");
-    const auto mecs = mdp::par::maximal_end_components(model, ~std::uint64_t{0}, opts);
+    const auto mecs = mdp::maximal_end_components(model, ~std::uint64_t{0});
     const auto reached = mdp::reachable_states(model);
     for (const auto& mec : mecs) {
       if (!mec.fair(model.num_phils())) continue;

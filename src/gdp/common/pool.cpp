@@ -57,9 +57,9 @@ void parallel_for(std::size_t total, int threads, const std::function<void(std::
 
   // Timing plane, all three: steals depend on scheduling outright, and the
   // call/task totals describe how work was *executed*, not what work was
-  // done — seq-vs-par dispatch (parallel_chunk_max, the MEC fallback) keys
-  // on the requested thread count, so these totals are not thread-count
-  // invariant. References resolved once; the registry never moves them.
+  // done — seq-vs-par dispatch (parallel_chunk_max) keys on the requested
+  // thread count, so these totals are not thread-count invariant.
+  // References resolved once; the registry never moves them.
   static obs::Counter& calls =
       obs::Registry::global().counter("pool.parallel_for_calls", obs::Plane::kTiming);
   static obs::Counter& tasks = obs::Registry::global().counter("pool.tasks", obs::Plane::kTiming);

@@ -1,5 +1,5 @@
 // Work-stealing parallelism primitives shared by the experiment Runner
-// (gdp::exp) and the parallel model checker (gdp::mdp::par).
+// (gdp::exp), the explorer (mdp::explore) and the quant sweeps.
 //
 // Two layers:
 //
@@ -18,45 +18,23 @@
 //
 // Nothing here imposes an ordering on task completion: callers that need
 // deterministic output park results at their task index and fold them in
-// index order afterwards (see gdp/exp/runner.cpp, gdp/mdp/par/explore.cpp).
+// index order afterwards (see gdp/exp/runner.cpp, gdp/mdp/level_explore.cpp).
 //
 // Concurrency discipline: everything in this header is a single atomic word
-// (StealRange's packed range, Backoff's failure counter is worker-local), so
-// there is no capability to annotate — the lock-protected structures built
-// on top of the pool use the annotated gdp::common::Mutex from
-// gdp/common/thread_annotations.hpp, which Clang's -Wthread-safety checks
-// under cmake -DGDP_THREAD_SAFETY=ON.
+// (StealRange's packed range), so there is no capability to annotate — the
+// lock-protected structures built on top of the pool use the annotated
+// gdp::common::Mutex from gdp/common/thread_annotations.hpp, which Clang's
+// -Wthread-safety checks under cmake -DGDP_THREAD_SAFETY=ON.
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <thread>
 #include <utility>
 
 namespace gdp::common {
-
-/// Idle-wait backoff for workers that found nothing to pop or steal: yield
-/// for the first few failures (work usually reappears immediately), then
-/// sleep in short slices so spinners stop starving the workers that still
-/// hold work — essential when the pool is oversubscribed on few cores.
-class Backoff {
- public:
-  void pause() {
-    if (++failures_ <= 16) {
-      std::this_thread::yield();
-    } else {
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  }
-  void reset() { failures_ = 0; }
-
- private:
-  unsigned failures_ = 0;
-};
 
 /// A contiguous range of task ids packed as (head << 32) | tail. The owner
 /// pops from the head, thieves CAS the back half off the tail.

@@ -2,9 +2,9 @@
 //
 // The Runner flattens the grid into cells x trials independent tasks and
 // executes them on the shared work-stealing pool (gdp/common/pool.hpp, also
-// backing the parallel model checker gdp::mdp::par): each worker owns a
-// contiguous shard of the task range, pops from its front, and when empty
-// steals the back half of the fullest shard. Trials are heavyweight
+// backing the explorer's level expansion and the quant sweeps): each worker
+// owns a contiguous shard of the task range, pops from its front, and when
+// empty steals the back half of the fullest shard. Trials are heavyweight
 // (thousands of simulator steps), so a single packed-range CAS per claim is
 // all the queue machinery the pool needs.
 //

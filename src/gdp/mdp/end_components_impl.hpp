@@ -1,20 +1,28 @@
-// Template definitions for the sequential MEC decomposition and the
-// sequential reachability sweep, generalized over any type exposing the
-// Model read API (num_states/num_phils/initial/row/eaters/frontier).
+// Template definitions of the MEC decomposition and the reachability
+// sweep — the engine's only kernels for both — generalized over any type
+// exposing the Model read API (num_states/num_phils/initial/row/eaters/
+// frontier).
 //
 // Two instantiations exist on purpose: `Model` (end_components.cpp — the
 // contiguous in-RAM path) and `store::ChunkedModel` (store.cpp — the
 // chunk-native path, which must produce byte-identical components without
-// ever materializing a contiguous model). Keeping one definition is what
-// makes the bit-identity contract hold by construction.
+// ever materializing a contiguous model). Quant (quant_impl.hpp) calls the
+// same templates. Keeping one definition is what makes the bit-identity
+// contract hold by construction.
+//
+// Both run sequentially at every thread count: parallel variants did not
+// pay for themselves on the benchmark ledger (README, "What runs on the
+// pool").
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <vector>
 
+#include "gdp/common/check.hpp"
 #include "gdp/mdp/end_components.hpp"
 #include "gdp/mdp/model.hpp"
+#include "gdp/obs/timeline.hpp"
 
 namespace gdp::mdp::detail {
 
@@ -124,6 +132,10 @@ class SccFinderT {
 template <class ModelT>
 std::vector<EndComponent> maximal_end_components_t(const ModelT& model, std::uint64_t avoid_set) {
   const std::size_t n = model.num_states();
+  // Partition ids and Tarjan indices are int32.
+  GDP_CHECK_MSG(n < (std::uint64_t{1} << 31),
+                "MEC decomposition supports < 2^31 states, got " << n);
+  obs::TimedSpan span("mec.decompose");
   // Partition id per state; kEcRemoved = outside the candidate set. Start with
   // one partition holding every expanded state where no avoid_set member eats.
   std::vector<std::int32_t> component(n, kEcRemoved);

@@ -60,16 +60,16 @@ Model Model::build(int num_phils, std::vector<std::uint64_t> offsets,
   return model;
 }
 
-Model explore(const algos::Algorithm& algo, const graph::Topology& t, std::size_t max_states) {
+Model explore(const algos::Algorithm& algo, const graph::Topology& t, CheckOptions options) {
   detail::LevelExplorer explorer(algo, t);
-  explorer.run(max_states, /*threads=*/1);
+  explorer.run(options.max_states, options.threads);
   return explorer.take_model();
 }
 
 Model explore_indexed(const algos::Algorithm& algo, const graph::Topology& t,
-                      std::size_t max_states, StateIndex& index_out) {
+                      StateIndex& index_out, CheckOptions options) {
   detail::LevelExplorer explorer(algo, t);
-  explorer.run(max_states, /*threads=*/1);
+  explorer.run(options.max_states, options.threads);
   return explorer.take_model(&index_out);
 }
 

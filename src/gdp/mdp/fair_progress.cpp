@@ -23,23 +23,9 @@ std::string FairProgressResult::summary() const {
   return out.str();
 }
 
-namespace detail {
-
-FairProgressResult verdict_from_mecs(const Model& model, std::uint64_t set_mask,
-                                     const std::vector<EndComponent>& mecs) {
-  return verdict_from_mecs_t(model, set_mask, mecs, reachable_states(model));
-}
-
-FairProgressResult verdict_from_mecs(const Model& model, std::uint64_t set_mask,
-                                     const std::vector<EndComponent>& mecs,
-                                     const std::vector<bool>& reached) {
-  return verdict_from_mecs_t(model, set_mask, mecs, reached);
-}
-
-}  // namespace detail
-
 FairProgressResult check_fair_progress(const Model& model, std::uint64_t set_mask) {
-  return detail::verdict_from_mecs(model, set_mask, maximal_end_components(model, set_mask));
+  return detail::verdict_from_mecs_t(model, set_mask, maximal_end_components(model, set_mask),
+                                     reachable_states(model));
 }
 
 FairProgressResult check_lockout_freedom(const Model& model, PhilId victim) {
@@ -47,8 +33,8 @@ FairProgressResult check_lockout_freedom(const Model& model, PhilId victim) {
 }
 
 FairProgressResult check_fair_progress(const algos::Algorithm& algo, const graph::Topology& t,
-                                       std::size_t max_states, std::uint64_t set_mask) {
-  const Model model = explore(algo, t, max_states);
+                                       CheckOptions options, std::uint64_t set_mask) {
+  const Model model = explore(algo, t, options);
   return check_fair_progress(model, set_mask);
 }
 

@@ -1,6 +1,6 @@
 // Template definition of the verdict logic over an already-computed MEC
 // decomposition, generalized over the Model read API. Instantiated for
-// `Model` (fair_progress.cpp / par) and `store::ChunkedModel` (store.cpp):
+// `Model` (fair_progress.cpp) and `store::ChunkedModel` (store.cpp):
 // the verdict, the witness choice and every count come out identical on
 // both paths because this is the one definition.
 #pragma once

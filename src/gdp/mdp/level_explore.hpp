@@ -1,5 +1,5 @@
-// The shared level-synchronous breadth-first explorer behind mdp::explore
-// and par::explore.
+// The level-synchronous breadth-first explorer behind mdp::explore,
+// mdp::explore_indexed and store::explore / store::resume.
 //
 // Exploration proceeds in BFS levels. A level is the contiguous id range
 // [num_expanded, num_states): states discovered but not yet expanded — with
@@ -18,10 +18,10 @@
 // The state cap applies at LEVEL granularity: before expanding a level, if
 // num_states >= max_states the run stops with every state either fully
 // expanded or untouched frontier. Truncation is therefore a pure function
-// of (algorithm, topology, max_states) — identical for mdp::explore and
-// par::explore at every thread count, with no sequential fallback. A capped
-// run may finish the level in flight and overshoot max_states by one
-// level's discoveries; it never stops mid-level.
+// of (algorithm, topology, max_states) — identical at every thread count,
+// with no sequential fallback. A capped run may finish the level in flight
+// and overshoot max_states by one level's discoveries; it never stops
+// mid-level.
 //
 // Because expanded states always form an id prefix and levels are complete,
 // a truncated model IS a checkpoint: restore() re-seeds an explorer from

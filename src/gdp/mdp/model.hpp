@@ -8,6 +8,7 @@
 // mechanically instead of only sampling runs (see fair_progress.hpp).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -86,16 +87,28 @@ class Model {
   bool truncated_ = false;
 };
 
+/// Options of the model-checking front-end (explore, explore_indexed,
+/// check_fair_progress, store::explore / store::resume).
+struct CheckOptions {
+  /// Worker threads for exploration; 0 = std::thread::hardware_concurrency().
+  /// Results are bit-identical at every count.
+  int threads = 0;
+
+  /// Exploration state cap, applied at BFS level boundaries (see explore).
+  std::size_t max_states = 2'000'000;
+};
+
 /// Level-synchronous breadth-first exploration from the algorithm's initial
-/// state (all philosophers thinking). The `max_states` cap applies at BFS
-/// level boundaries: a run never stops mid-level, so a capped model is a
-/// pure function of (algorithm, topology, max_states) — identical to the
-/// parallel par::explore at every thread count — and its unexpanded
-/// frontier states (flagged on the model) are always the id tail.
+/// state (all philosophers thinking). Each level expands on the shared pool
+/// (gdp/common/pool.hpp) and interns in a sequential in-order epilogue, so
+/// the model is bit-identical at every thread count. The `max_states` cap
+/// applies at level boundaries: a run never stops mid-level, so a capped
+/// model is a pure function of (algorithm, topology, max_states) and its
+/// unexpanded frontier states (flagged on the model) are always the id tail,
+/// resumable via gdp::mdp::store.
 ///
 /// Requires ThinkMode::kHungry (the proofs' all-hungry setting) so the MDP
 /// stays finite and E-avoidance is meaningful.
-Model explore(const algos::Algorithm& algo, const graph::Topology& t,
-              std::size_t max_states = 2'000'000);
+Model explore(const algos::Algorithm& algo, const graph::Topology& t, CheckOptions options = {});
 
 }  // namespace gdp::mdp

@@ -78,7 +78,7 @@ std::vector<QuantResult> analyze(const Model& model, const std::vector<std::uint
   for (const std::uint64_t target_set : targets) {
     GDP_CHECK_MSG(target_set != 0, "quant::analyze needs non-empty target sets");
   }
-  detail::SharedSweeps shared = detail::make_shared_sweeps(model, options.check_options());
+  detail::SharedSweeps shared = detail::make_shared_sweeps(model);
   std::vector<QuantResult> results;
   results.reserve(targets.size());
   // Targets run in sequence (each one's sweeps already parallelize over the
@@ -92,7 +92,7 @@ std::vector<QuantResult> analyze(const Model& model, const std::vector<std::uint
 
 QuantResult analyze(const algos::Algorithm& algo, const graph::Topology& t, QuantOptions options,
                     std::uint64_t target_set) {
-  const Model model = par::explore(algo, t, options.check_options());
+  const Model model = explore(algo, t, {options.threads, options.max_states});
   return analyze(model, target_set, options);
 }
 

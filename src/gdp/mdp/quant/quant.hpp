@@ -45,9 +45,8 @@
 // still be arbitrarily far from the true value. Following
 // Haddad–Monmege-style interval iteration, the checker first collapses the
 // maximal end components of the relevant fragment (reusing
-// maximal_end_components / par::maximal_end_components) — the quotient has
-// no end components besides its terminals, so the Bellman operator has a
-// unique fixed point — then iterates a lower bound up from 0 and an upper
+// maximal_end_components) — the quotient has no end components besides its
+// terminals, so the Bellman operator has a unique fixed point — then iterates a lower bound up from 0 and an upper
 // bound down from 1 (for probabilities) or verifies a guessed upper bound
 // with a Bellman contraction check (optimistic value iteration, for
 // expected times). Both bounds are clamped monotone; iteration stops when
@@ -61,7 +60,7 @@
 // next), run as state-range parallel_for chunks on the shared
 // gdp::common::pool with residuals folded by the deterministic
 // parallel_chunk_max reduction, so every interval endpoint is bit-identical
-// at every thread count — the same contract gdp::exp and gdp::mdp::par
+// at every thread count — the same contract gdp::exp and mdp::explore
 // keep. Domains below seq_sweep_threshold run the sweeps inline.
 #pragma once
 
@@ -70,7 +69,6 @@
 #include <vector>
 
 #include "gdp/mdp/model.hpp"
-#include "gdp/mdp/par/par.hpp"
 
 namespace gdp::mdp::quant {
 
@@ -121,19 +119,6 @@ struct QuantOptions {
   /// Domains smaller than this run their sweeps inline instead of on the
   /// pool (spawn/steal costs more than it saves).
   std::size_t seq_sweep_threshold = 16'384;
-
-  /// Forwarded to the parallel MEC decomposition (par::CheckOptions).
-  std::size_t seq_mec_threshold = 16'384;
-  std::size_t seq_scc_region = 8'192;
-
-  par::CheckOptions check_options() const {
-    par::CheckOptions opts;
-    opts.threads = threads;
-    opts.max_states = max_states;
-    opts.seq_mec_threshold = seq_mec_threshold;
-    opts.seq_scc_region = seq_scc_region;
-    return opts;
-  }
 };
 
 /// Per-phase iteration accounting for one analyze() call. Sweep counts are
@@ -207,7 +192,8 @@ QuantResult analyze(const Model& model, std::uint64_t target_set = ~std::uint64_
 std::vector<QuantResult> analyze(const Model& model, const std::vector<std::uint64_t>& targets,
                                  QuantOptions options = {});
 
-/// One-call convenience: parallel explore (gdp::mdp::par) + analyze.
+/// One-call convenience: explore (at options.threads, capped at
+/// options.max_states) + analyze.
 QuantResult analyze(const algos::Algorithm& algo, const graph::Topology& t,
                     QuantOptions options = {}, std::uint64_t target_set = ~std::uint64_t{0});
 

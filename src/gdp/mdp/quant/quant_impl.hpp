@@ -43,7 +43,7 @@
 
 #include "gdp/common/check.hpp"
 #include "gdp/common/pool.hpp"
-#include "gdp/mdp/par/end_components_impl.hpp"
+#include "gdp/mdp/end_components_impl.hpp"
 #include "gdp/mdp/quant/quant.hpp"
 #include "gdp/obs/obs.hpp"
 #include "gdp/obs/timeline.hpp"
@@ -192,7 +192,7 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
   });
 
   // Per-node offsets and per-state write bases, in (node, member-state
-  // ascending) order — one sequential prefix pass, as in par::explore.
+  // ascending) order — one sequential prefix pass, as in the explorer.
   std::vector<std::size_t> act_base(n, 0), out_base(n, 0);
   q.act_off.assign(q.num_nodes + 1, 0);
   {
@@ -595,10 +595,9 @@ struct SharedSweeps {
   Quotient full_q;
 
   template <class ModelT>
-  void ensure_full(const ModelT& model, const par::CheckOptions& co,
-                   const QuantOptions& options) {
+  void ensure_full(const ModelT& model, const QuantOptions& options) {
     if (full_built) return;
-    full_mecs = par::detail::maximal_end_components_t(model, 0, co);
+    full_mecs = mdp::detail::maximal_end_components_t(model, 0);
     full_q = build_quotient(model, full_mecs, reached, /*target_mask=*/0,
                             /*target_terminal=*/false, options);
     full_built = true;
@@ -606,10 +605,10 @@ struct SharedSweeps {
 };
 
 template <class ModelT>
-SharedSweeps make_shared_sweeps(const ModelT& model, const par::CheckOptions& co) {
+SharedSweeps make_shared_sweeps(const ModelT& model) {
   SharedSweeps shared;
   shared.complete = !model.truncated();
-  shared.reached = par::detail::reachable_states_t(model, co);
+  shared.reached = mdp::detail::reachable_states_t(model);
   return shared;
 }
 
@@ -627,12 +626,11 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
   result.epsilon = options.epsilon;
 
   const bool complete = shared.complete;
-  const auto co = options.check_options();
   const std::vector<bool>& reached = shared.reached;
 
   // MECs of the meal-free fragment, and which of them are fair traps.
   const std::vector<EndComponent> mecs =
-      par::detail::maximal_end_components_t(model, target_set, co);
+      mdp::detail::maximal_end_components_t(model, target_set);
   result.num_avoid_mecs = mecs.size();
   std::vector<std::uint8_t> fair_mec(mecs.size(), 0);
   for (std::size_t m = 0; m < mecs.size(); ++m) {
@@ -746,7 +744,7 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
   if (result.num_fair_avoid_mecs == 0 && complete) {
     result.p_trap = {0.0, 0.0};
   } else {
-    shared.ensure_full(model, co, options);
+    shared.ensure_full(model, options);
     const Quotient& full_q = shared.full_q;
     // Goal nodes: full-model MEC classes holding a fair-trap state (from
     // anywhere in such a MEC the trap is internally reachable with
@@ -799,7 +797,7 @@ QuantResult analyze_t(const ModelT& model, std::uint64_t target_set, const Quant
                 "quant::analyze: target masks are 64-bit, so at most 64 philosophers are "
                 "supported, got "
                     << model.num_phils());
-  SharedSweeps shared = make_shared_sweeps(model, options.check_options());
+  SharedSweeps shared = make_shared_sweeps(model);
   return analyze_one(model, target_set, options, shared);
 }
 

@@ -12,8 +12,9 @@
 #include <cstring>
 
 #include "gdp/common/check.hpp"
+#include "gdp/mdp/end_components_impl.hpp"
+#include "gdp/mdp/fair_progress_impl.hpp"
 #include "gdp/mdp/level_explore.hpp"
-#include "gdp/mdp/par/end_components_impl.hpp"
 #include "gdp/mdp/quant/quant_impl.hpp"
 #include "gdp/obs/obs.hpp"
 #include "gdp/obs/timeline.hpp"
@@ -631,7 +632,7 @@ ChunkedModel ChunkedModel::load_checkpoint(const algos::Algorithm& algo, const g
 // ---------------------------------------------------------------------------
 
 ChunkedModel explore(const algos::Algorithm& algo, const graph::Topology& t,
-                     StoreOptions store_options, par::CheckOptions options) {
+                     StoreOptions store_options, CheckOptions options) {
   mdp::detail::LevelExplorer explorer(algo, t);
   explorer.run(options.max_states, options.threads);
   const KeyCodec codec = explorer.codec();
@@ -642,7 +643,7 @@ ChunkedModel explore(const algos::Algorithm& algo, const graph::Topology& t,
 
 ChunkedModel resume(const algos::Algorithm& algo, const graph::Topology& t,
                     const ChunkedModel& checkpoint, StoreOptions store_options,
-                    par::CheckOptions options) {
+                    CheckOptions options) {
   mdp::detail::LevelExplorer explorer(algo, t);
   // Chunk-native restore: the explorer re-seeds from per-chunk key runs,
   // eater masks, frontier bits, and rows through the read API — the
@@ -662,19 +663,19 @@ ChunkedModel resume(const algos::Algorithm& algo, const graph::Topology& t,
 // truncated models keep the exact refusal semantics — without ever
 // materializing the contiguous CSR.
 
-std::vector<bool> reachable_states(const ChunkedModel& model, par::CheckOptions options) {
-  return par::detail::reachable_states_t(model, options);
+std::vector<bool> reachable_states(const ChunkedModel& model) {
+  return mdp::detail::reachable_states_t(model);
 }
 
 std::vector<EndComponent> maximal_end_components(const ChunkedModel& model,
-                                                 std::uint64_t avoid_set,
-                                                 par::CheckOptions options) {
-  return par::detail::maximal_end_components_t(model, avoid_set, options);
+                                                 std::uint64_t avoid_set) {
+  return mdp::detail::maximal_end_components_t(model, avoid_set);
 }
 
-FairProgressResult check_fair_progress(const ChunkedModel& model, std::uint64_t set_mask,
-                                       par::CheckOptions options) {
-  return par::detail::check_fair_progress_t(model, set_mask, options);
+FairProgressResult check_fair_progress(const ChunkedModel& model, std::uint64_t set_mask) {
+  return mdp::detail::verdict_from_mecs_t(model, set_mask,
+                                          maximal_end_components(model, set_mask),
+                                          reachable_states(model));
 }
 
 quant::QuantResult analyze(const ChunkedModel& model, std::uint64_t target_set,

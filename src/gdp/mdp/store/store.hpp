@@ -17,8 +17,8 @@
 //
 //   * Read API — ChunkedModel mirrors the Model read interface
 //     (num_phils/num_states/eaters/eating/row/frontier/truncated/num_rows),
-//     so the par:: and quant:: kernel templates instantiate directly over
-//     it: store::reachable_states / maximal_end_components /
+//     so the MEC, reachability, verdict and quant kernel templates
+//     instantiate directly over it: store::reachable_states / maximal_end_components /
 //     check_fair_progress / analyze and store::resume run chunk-native,
 //     without materializing. materialize() still rebuilds a validated
 //     contiguous Model for callers that want one.
@@ -52,9 +52,10 @@
 #include <vector>
 
 #include "gdp/common/thread_annotations.hpp"
+#include "gdp/mdp/end_components.hpp"
+#include "gdp/mdp/fair_progress.hpp"
 #include "gdp/mdp/key.hpp"
 #include "gdp/mdp/model.hpp"
-#include "gdp/mdp/par/par.hpp"
 #include "gdp/mdp/quant/quant.hpp"
 
 namespace gdp::mdp::store {
@@ -318,10 +319,10 @@ class ChunkedModel {
 };
 
 /// Level-synchronous exploration straight into a chunked store (the same
-/// engine as mdp::explore / par::explore, so the underlying model is
-/// bit-identical to theirs at every thread count).
+/// engine as mdp::explore, so the underlying model is bit-identical to its
+/// at every thread count).
 ChunkedModel explore(const algos::Algorithm& algo, const graph::Topology& t,
-                     StoreOptions store_options = {}, par::CheckOptions options = {});
+                     StoreOptions store_options = {}, CheckOptions options = {});
 
 /// Continues a capped run from `checkpoint` under a (typically larger) cap
 /// `options.max_states`. The result composes bit-identically with a
@@ -329,11 +330,11 @@ ChunkedModel explore(const algos::Algorithm& algo, const graph::Topology& t,
 /// equal fingerprints at every thread count.
 ChunkedModel resume(const algos::Algorithm& algo, const graph::Topology& t,
                     const ChunkedModel& checkpoint, StoreOptions store_options = {},
-                    par::CheckOptions options = {});
+                    CheckOptions options = {});
 
 // --- analysis over chunked models ---
 //
-// Chunk-native: each call instantiates the par:: / quant:: kernel templates
+// Chunk-native: each call instantiates the mdp:: / quant:: kernel templates
 // directly over the ChunkedModel read API — the model is NEVER materialized
 // ("store.materializations" stays 0 across these paths). Because the
 // instantiations share one definition with the contiguous path, complete
@@ -343,15 +344,13 @@ ChunkedModel resume(const algos::Algorithm& algo, const graph::Topology& t,
 // max_resident_chunks budget the kernels page chunks in and out as they
 // sweep; verdicts are unaffected (eviction only drops clean pages).
 
-std::vector<bool> reachable_states(const ChunkedModel& model, par::CheckOptions options = {});
+std::vector<bool> reachable_states(const ChunkedModel& model);
 
 std::vector<EndComponent> maximal_end_components(const ChunkedModel& model,
-                                                 std::uint64_t avoid_set = ~std::uint64_t{0},
-                                                 par::CheckOptions options = {});
+                                                 std::uint64_t avoid_set = ~std::uint64_t{0});
 
 FairProgressResult check_fair_progress(const ChunkedModel& model,
-                                       std::uint64_t set_mask = ~std::uint64_t{0},
-                                       par::CheckOptions options = {});
+                                       std::uint64_t set_mask = ~std::uint64_t{0});
 
 quant::QuantResult analyze(const ChunkedModel& model,
                            std::uint64_t target_set = ~std::uint64_t{0},

@@ -30,7 +30,7 @@ namespace gdp::mdp {
 /// codec that produced the keys, see gdp/mdp/key.hpp), so live simulator
 /// configurations can be located inside the model.
 Model explore_indexed(const algos::Algorithm& algo, const graph::Topology& t,
-                      std::size_t max_states, StateIndex& index_out);
+                      StateIndex& index_out, CheckOptions options = {});
 
 class WitnessScheduler final : public sim::Scheduler {
  public:

@@ -11,7 +11,7 @@ namespace {
 
 Model explore_named(const std::string& algo, const graph::Topology& t) {
   const auto a = algos::make_algorithm(algo);
-  return explore(*a, t, 2'000'000);
+  return explore(*a, t);
 }
 
 TEST(Chain, Lr1RingReachesEatingAlmostSurely) {

@@ -24,7 +24,7 @@
 #include "gdp/exp/runner.hpp"
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/key.hpp"
-#include "gdp/mdp/par/par.hpp"
+#include "gdp/mdp/witness.hpp"
 #include "gdp/rng/rng.hpp"
 #include "gdp/sim/engine.hpp"
 #include "gdp/sim/schedulers/basic.hpp"
@@ -39,11 +39,11 @@ void expect_visits_subset_of_model(const std::string& algo_name, const graph::To
   SCOPED_TRACE(algo_name + " on " + t.name());
   const auto algo = algos::make_algorithm(algo_name);
 
-  // The reference model comes from the parallel explorer — the campaign's
-  // sampled visits are checked against the same Model object the parallel
-  // verdicts certify (bit-identical to the sequential one by contract).
+  // The reference model comes from the pool-backed explorer — the
+  // campaign's sampled visits are checked against the same Model object the
+  // verdicts certify (bit-identical at every thread count by contract).
   mdp::StateIndex index;
-  const mdp::Model model = mdp::par::explore_indexed(*algo, t, index);
+  const mdp::Model model = mdp::explore_indexed(*algo, t, index);
   ASSERT_FALSE(model.truncated()) << "model must be complete for the subset check";
 
   std::size_t visited_total = 0;

@@ -55,7 +55,8 @@ TEST(Consistency, TrapAndCheckerAgreeOnFig1a) {
   // The model checker certifies that a fair no-progress adversary exists
   // for LR1 on fig1a; the scripted trap constructs one. Both must agree.
   const auto verdict =
-      mdp::check_fair_progress(*algos::make_algorithm("lr1"), graph::fig1a(), 1'500'000);
+      mdp::check_fair_progress(*algos::make_algorithm("lr1"), graph::fig1a(),
+                               {.max_states = 1'500'000});
   EXPECT_EQ(verdict.verdict, mdp::Verdict::kProgressFails);
 
   int trapped = 0;
@@ -75,7 +76,8 @@ TEST(Consistency, CheckerCertifiedAlgorithmsSurviveEveryInTreeAdversary) {
   // GDP1 is progress-certified on parallel(3); no scheduler we ship should
   // be able to stall it there.
   const auto t = graph::parallel_arcs(3);
-  const auto verdict = mdp::check_fair_progress(*algos::make_algorithm("gdp1"), t, 1'000'000);
+  const auto verdict =
+      mdp::check_fair_progress(*algos::make_algorithm("gdp1"), t, {.max_states = 1'000'000});
   ASSERT_EQ(verdict.verdict, mdp::Verdict::kProgressCertain);
   for (int which = 0; which < 3; ++which) {
     const auto gdp1 = algos::make_algorithm("gdp1");

@@ -14,7 +14,7 @@ namespace {
 Model explore_named(const std::string& algo, const graph::Topology& t,
                     std::size_t cap = 2'000'000) {
   const auto a = algos::make_algorithm(algo);
-  return explore(*a, t, cap);
+  return explore(*a, t, {.max_states = cap});
 }
 
 TEST(Explore, RowsAreProbabilityDistributions) {

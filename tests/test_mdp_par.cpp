@@ -1,8 +1,10 @@
-// The parallel model-checking engine's core contract: gdp::mdp::par
-// produces BIT-IDENTICAL results to the sequential engine — same Model
-// (state numbering, CSR offsets, outcome bytes, eater masks, frontier
-// flags), same StateIndex, same end components, same verdicts — for every
-// thread count, including oversubscribed pools with stealing in play.
+// The explorer's threading contract: mdp::explore produces a BIT-IDENTICAL
+// Model (state numbering, CSR offsets, outcome bytes, eater masks, frontier
+// flags) and the same StateIndex at every thread count, including
+// oversubscribed pools with stealing in play and capped runs. MEC,
+// reachability and verdict functions take no thread count, so identical
+// models give identical verdicts; the verdict values themselves are pinned
+// on the paper's trap instances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,7 +16,9 @@
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/common/check.hpp"
 #include "gdp/graph/builders.hpp"
-#include "gdp/mdp/par/par.hpp"
+#include "gdp/mdp/fair_progress.hpp"
+#include "gdp/mdp/model.hpp"
+#include "gdp/mdp/witness.hpp"
 
 namespace gdp::mdp {
 namespace {
@@ -28,160 +32,129 @@ std::vector<int> thread_counts() {
 
 /// Field-by-field model equality through the public API; float payloads
 /// compared via memcmp so NaN or signed-zero drift would also be caught.
-void expect_models_bit_identical(const Model& seq, const Model& par_model, int threads) {
+void expect_models_bit_identical(const Model& ref, const Model& model, int threads) {
   SCOPED_TRACE("threads=" + std::to_string(threads));
-  ASSERT_EQ(seq.num_states(), par_model.num_states());
-  ASSERT_EQ(seq.num_phils(), par_model.num_phils());
-  EXPECT_EQ(seq.truncated(), par_model.truncated());
-  for (StateId s = 0; s < seq.num_states(); ++s) {
-    ASSERT_EQ(seq.eaters(s), par_model.eaters(s)) << "state " << s;
-    ASSERT_EQ(seq.frontier(s), par_model.frontier(s)) << "state " << s;
-    for (int p = 0; p < seq.num_phils(); ++p) {
-      const auto [sb, se] = seq.row(s, p);
-      const auto [pb, pe] = par_model.row(s, p);
-      ASSERT_EQ(se - sb, pe - pb) << "row (" << s << ", " << p << ")";
-      for (const Outcome *so = sb, *po = pb; so != se; ++so, ++po) {
-        ASSERT_EQ(so->next, po->next) << "row (" << s << ", " << p << ")";
-        ASSERT_EQ(std::memcmp(&so->prob, &po->prob, sizeof(float)), 0)
-            << "row (" << s << ", " << p << ") prob " << so->prob << " vs " << po->prob;
+  ASSERT_EQ(ref.num_states(), model.num_states());
+  ASSERT_EQ(ref.num_phils(), model.num_phils());
+  EXPECT_EQ(ref.truncated(), model.truncated());
+  for (StateId s = 0; s < ref.num_states(); ++s) {
+    ASSERT_EQ(ref.eaters(s), model.eaters(s)) << "state " << s;
+    ASSERT_EQ(ref.frontier(s), model.frontier(s)) << "state " << s;
+    for (int p = 0; p < ref.num_phils(); ++p) {
+      const auto [rb, re] = ref.row(s, p);
+      const auto [mb, me] = model.row(s, p);
+      ASSERT_EQ(re - rb, me - mb) << "row (" << s << ", " << p << ")";
+      for (const Outcome *ro = rb, *mo = mb; ro != re; ++ro, ++mo) {
+        ASSERT_EQ(ro->next, mo->next) << "row (" << s << ", " << p << ")";
+        ASSERT_EQ(std::memcmp(&ro->prob, &mo->prob, sizeof(float)), 0)
+            << "row (" << s << ", " << p << ") prob " << ro->prob << " vs " << mo->prob;
       }
     }
   }
 }
 
-void expect_mecs_identical(const std::vector<EndComponent>& seq,
-                           const std::vector<EndComponent>& par_mecs) {
-  ASSERT_EQ(seq.size(), par_mecs.size());
-  for (std::size_t i = 0; i < seq.size(); ++i) {
-    EXPECT_EQ(seq[i].states, par_mecs[i].states) << "component " << i;
-    EXPECT_EQ(seq[i].phil_mask, par_mecs[i].phil_mask) << "component " << i;
+void expect_indexes_equal(const StateIndex& ref, const StateIndex& index) {
+  ASSERT_EQ(ref.size(), index.size());
+  // gdp-lint: allow(unordered-iteration) — pure membership check; every key is
+  // looked up independently, no result bit depends on hash order
+  for (const auto& [key, id] : ref) {
+    const auto it = index.find(key);
+    ASSERT_NE(it, index.end());
+    EXPECT_EQ(it->second, id);
   }
 }
 
-void expect_results_identical(const FairProgressResult& seq, const FairProgressResult& par_r) {
-  EXPECT_EQ(seq.verdict, par_r.verdict);
-  EXPECT_EQ(seq.avoid_set, par_r.avoid_set);
-  EXPECT_EQ(seq.num_states, par_r.num_states);
-  EXPECT_EQ(seq.num_mecs, par_r.num_mecs);
-  EXPECT_EQ(seq.num_fair_mecs, par_r.num_fair_mecs);
-  EXPECT_EQ(seq.witness_size, par_r.witness_size);
-  EXPECT_EQ(seq.witness_state.has_value(), par_r.witness_state.has_value());
-  if (seq.witness_state) EXPECT_EQ(*seq.witness_state, *par_r.witness_state);
+void expect_results_identical(const FairProgressResult& a, const FairProgressResult& b) {
+  EXPECT_EQ(a.verdict, b.verdict);
+  EXPECT_EQ(a.avoid_set, b.avoid_set);
+  EXPECT_EQ(a.num_states, b.num_states);
+  EXPECT_EQ(a.num_mecs, b.num_mecs);
+  EXPECT_EQ(a.num_fair_mecs, b.num_fair_mecs);
+  EXPECT_EQ(a.witness_size, b.witness_size);
+  EXPECT_EQ(a.witness_state.has_value(), b.witness_state.has_value());
+  if (a.witness_state) EXPECT_EQ(*a.witness_state, *b.witness_state);
 }
 
-/// The full-pipeline equivalence check for one (algorithm, topology, cap).
-void expect_par_equals_seq(const std::string& algo_name, const graph::Topology& t,
-                           std::size_t max_states = 2'000'000) {
+/// Model + StateIndex at every thread count against the threads=1 run.
+void expect_explore_thread_invariant(const std::string& algo_name, const graph::Topology& t,
+                                     std::size_t max_states = 2'000'000) {
   SCOPED_TRACE(algo_name + " on " + t.name());
   const auto algo = algos::make_algorithm(algo_name);
 
-  StateIndex seq_index;
-  const Model seq = explore_indexed(*algo, t, max_states, seq_index);
-  const auto seq_mecs = maximal_end_components(seq);
-  const auto seq_progress = check_fair_progress(seq);
-
+  StateIndex ref_index;
+  const Model ref = explore_indexed(*algo, t, ref_index, {.threads = 1, .max_states = max_states});
   for (const int threads : thread_counts()) {
-    par::CheckOptions opts;
-    opts.threads = threads;
-    opts.max_states = max_states;
-    // Force the parallel MEC machinery on even for the small test models
-    // (the production default hands tiny fragments to the sequential path).
-    opts.seq_mec_threshold = 1;
-    opts.seq_scc_region = 32;
-
-    StateIndex par_index;
-    const Model par_model = par::explore_indexed(*algo, t, par_index, opts);
-    expect_models_bit_identical(seq, par_model, threads);
-
-    ASSERT_EQ(seq_index.size(), par_index.size());
-    // gdp-lint: allow(unordered-iteration) — pure membership check; every key is
-    // looked up independently, no result bit depends on hash order
-    for (const auto& [key, id] : seq_index) {
-      const auto it = par_index.find(key);
-      ASSERT_NE(it, par_index.end());
-      EXPECT_EQ(it->second, id);
-    }
-
-    expect_mecs_identical(seq_mecs, par::maximal_end_components(par_model, ~std::uint64_t{0}, opts));
-    expect_results_identical(seq_progress, par::check_fair_progress(par_model, ~std::uint64_t{0}, opts));
-    for (PhilId v = 0; v < t.num_phils(); ++v) {
-      expect_results_identical(check_lockout_freedom(seq, v),
-                               par::check_lockout_freedom(par_model, v, opts));
-    }
+    StateIndex index;
+    const Model model =
+        explore_indexed(*algo, t, index, {.threads = threads, .max_states = max_states});
+    expect_models_bit_identical(ref, model, threads);
+    expect_indexes_equal(ref_index, index);
   }
 }
 
 /// Lighter variant for six-figure-state models (the full sweep would take
-/// minutes on small CI machines): one parallel run against one sequential
-/// run, model compared bit for bit, one MEC + verdict comparison.
-void expect_par_equals_seq_light(const std::string& algo_name, const graph::Topology& t,
-                                 bool compare_mecs = true) {
+/// minutes on small CI machines): one 4-thread run against one sequential
+/// run, model compared bit for bit.
+void expect_explore_thread_invariant_light(const std::string& algo_name,
+                                           const graph::Topology& t) {
   SCOPED_TRACE(algo_name + " on " + t.name());
   const auto algo = algos::make_algorithm(algo_name);
-  const Model seq = explore(*algo, t);
-
-  par::CheckOptions opts;
-  opts.threads = 4;
-  opts.seq_mec_threshold = 1;
-  opts.seq_scc_region = 4'096;
-  const Model par_model = par::explore(*algo, t, opts);
-  expect_models_bit_identical(seq, par_model, opts.threads);
-  if (compare_mecs) {
-    expect_mecs_identical(maximal_end_components(seq),
-                          par::maximal_end_components(par_model, ~std::uint64_t{0}, opts));
-    expect_results_identical(check_fair_progress(seq),
-                             par::check_fair_progress(par_model, ~std::uint64_t{0}, opts));
-  }
+  const Model ref = explore(*algo, t, {.threads = 1});
+  expect_models_bit_identical(ref, explore(*algo, t, {.threads = 4}), 4);
 }
 
 // --- Topologies x algorithms x thread counts. ---
 
-TEST(ParExplore, Lr1Ring3) { expect_par_equals_seq("lr1", graph::classic_ring(3)); }
-TEST(ParExplore, Lr1Ring4) { expect_par_equals_seq("lr1", graph::classic_ring(4)); }
-TEST(ParExplore, Lr1RingWithPendant) {
-  expect_par_equals_seq("lr1", graph::ring_with_pendant(3));
+TEST(ExploreThreads, Lr1Ring3) { expect_explore_thread_invariant("lr1", graph::classic_ring(3)); }
+TEST(ExploreThreads, Lr1Ring4) { expect_explore_thread_invariant("lr1", graph::classic_ring(4)); }
+TEST(ExploreThreads, Lr1RingWithPendant) {
+  expect_explore_thread_invariant("lr1", graph::ring_with_pendant(3));
 }
-TEST(ParExplore, Lr2ParallelArcs3) { expect_par_equals_seq("lr2", graph::parallel_arcs(3)); }
-TEST(ParExplore, Gdp1Ring3) { expect_par_equals_seq("gdp1", graph::classic_ring(3)); }
-TEST(ParExplore, Gdp1ParallelArcs3) {
-  expect_par_equals_seq("gdp1", graph::parallel_arcs(3), 3'000'000);
+TEST(ExploreThreads, Lr2ParallelArcs3) {
+  expect_explore_thread_invariant("lr2", graph::parallel_arcs(3));
 }
-TEST(ParExplore, TicketBaselineFig1a) { expect_par_equals_seq("ticket", graph::fig1a()); }
+TEST(ExploreThreads, Gdp1Ring3) { expect_explore_thread_invariant("gdp1", graph::classic_ring(3)); }
+TEST(ExploreThreads, Gdp1ParallelArcs3) {
+  expect_explore_thread_invariant("gdp1", graph::parallel_arcs(3), 3'000'000);
+}
+TEST(ExploreThreads, TicketBaselineFig1a) {
+  expect_explore_thread_invariant("ticket", graph::fig1a());
+}
 
-// Six-figure state spaces: the renumbering must stay canonical even when
-// the frontier is stolen back and forth for hundreds of thousands of
+// Six-figure state spaces: the numbering must stay canonical even when the
+// frontier is stolen back and forth for hundreds of thousands of
 // expansions (gdp2's guest books, lr2 on a 4-ring).
-TEST(ParExplore, Gdp2Ring3Large) { expect_par_equals_seq_light("gdp2", graph::classic_ring(3)); }
-TEST(ParExplore, Lr2Ring4Large) {
-  expect_par_equals_seq_light("lr2", graph::classic_ring(4), /*compare_mecs=*/false);
+TEST(ExploreThreads, Gdp2Ring3Large) {
+  expect_explore_thread_invariant_light("gdp2", graph::classic_ring(3));
+}
+TEST(ExploreThreads, Lr2Ring4Large) {
+  expect_explore_thread_invariant_light("lr2", graph::classic_ring(4));
 }
 
 // The trap graph: LR1's model has a reachable fair EC (Theorem 1 premise),
-// so the equivalence must also hold through a kProgressFails verdict.
-TEST(ParExplore, Lr1Fig1aVerdictFails) {
+// so the explore-and-check convenience must report kProgressFails — with
+// the same witness — whatever thread count explored the model.
+TEST(ExploreThreads, Lr1Fig1aVerdictFails) {
   const auto algo = algos::make_algorithm("lr1");
-  const auto seq = check_fair_progress(*algo, graph::fig1a());
-  par::CheckOptions opts;
-  opts.threads = 4;
-  opts.seq_mec_threshold = 1;
-  opts.seq_scc_region = 4'096;
-  const auto par_r = par::check_fair_progress(*algo, graph::fig1a(), opts);
-  EXPECT_EQ(par_r.verdict, Verdict::kProgressFails);
-  expect_results_identical(seq, par_r);
+  const auto ref = check_fair_progress(*algo, graph::fig1a(), {.threads = 1});
+  EXPECT_EQ(ref.verdict, Verdict::kProgressFails);
+  for (const int threads : thread_counts()) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    expect_results_identical(ref, check_fair_progress(*algo, graph::fig1a(), {.threads = threads}));
+  }
 }
 
 // Truncated exploration: the cap applies at BFS level boundaries, so a
-// capped model is a pure function of (algorithm, topology, cap) — both
-// explorers run the same level-synchronous engine and stay bit-identical,
-// including the frontier flags and the truncated() bit, with no sequential
-// fallback anywhere.
-TEST(ParExplore, CappedLevelSyncBitIdentical) {
-  expect_par_equals_seq("lr1", graph::fig1a(), 500);
+// capped model is a pure function of (algorithm, topology, cap) and stays
+// bit-identical at every thread count, including the frontier flags and the
+// truncated() bit.
+TEST(ExploreThreads, CappedLevelSyncBitIdentical) {
+  expect_explore_thread_invariant("lr1", graph::fig1a(), 500);
 }
-TEST(ParExplore, CappedLevelSyncMidBfs) {
-  expect_par_equals_seq("gdp1", graph::classic_ring(3), 5'000);
-  expect_par_equals_seq("ticket", graph::fig1a(), 2'000);
-  expect_par_equals_seq("lr2", graph::parallel_arcs(3), 9'999);
+TEST(ExploreThreads, CappedLevelSyncMidBfs) {
+  expect_explore_thread_invariant("gdp1", graph::classic_ring(3), 5'000);
+  expect_explore_thread_invariant("ticket", graph::fig1a(), 2'000);
+  expect_explore_thread_invariant("lr2", graph::parallel_arcs(3), 9'999);
 }
 
 // The exact capped state counts, pinned as literals: the historical
@@ -190,9 +163,9 @@ TEST(ParExplore, CappedLevelSyncMidBfs) {
 // count depended on traversal order. Level-synchronous truncation stops at
 // a level boundary instead — the count may exceed the cap by at most one
 // level's discoveries, every state below num_expanded is fully expanded,
-// the frontier is exactly the id tail, and mdp::explore and par::explore
-// agree on the number at every thread count.
-TEST(ParExplore, CappedStateCountsPinnedAcrossPaths) {
+// the frontier is exactly the id tail, and every thread count agrees on
+// the number.
+TEST(ExploreThreads, CappedStateCountsPinned) {
   struct Case {
     const char* algo;
     graph::Topology t;
@@ -207,137 +180,48 @@ TEST(ParExplore, CappedStateCountsPinnedAcrossPaths) {
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.algo) + " on " + c.t.name() + " cap " + std::to_string(c.cap));
     const auto algo = algos::make_algorithm(c.algo);
-    const Model seq = explore(*algo, c.t, c.cap);
-    ASSERT_TRUE(seq.truncated());
-    EXPECT_GE(seq.num_states(), c.cap);  // the cap is a floor for truncation, never mid-level
-    EXPECT_EQ(seq.num_states(), c.states);
+    const Model ref = explore(*algo, c.t, {.threads = 1, .max_states = c.cap});
+    ASSERT_TRUE(ref.truncated());
+    EXPECT_GE(ref.num_states(), c.cap);  // the cap is a floor for truncation, never mid-level
+    EXPECT_EQ(ref.num_states(), c.states);
     // The unexpanded frontier is the contiguous id tail.
-    for (StateId s = 0; s < seq.num_states(); ++s) {
-      ASSERT_EQ(seq.frontier(s), s >= c.expanded) << "state " << s;
+    for (StateId s = 0; s < ref.num_states(); ++s) {
+      ASSERT_EQ(ref.frontier(s), s >= c.expanded) << "state " << s;
     }
-    for (const int threads : {1, 2, hw}) {
-      par::CheckOptions opts;
-      opts.threads = threads;
-      opts.max_states = c.cap;
-      const Model par_model = par::explore(*algo, c.t, opts);
-      EXPECT_EQ(par_model.num_states(), c.states) << "threads=" << threads;
-      expect_models_bit_identical(seq, par_model, threads);
+    for (const int threads : {2, hw}) {
+      const Model model = explore(*algo, c.t, {.threads = threads, .max_states = c.cap});
+      EXPECT_EQ(model.num_states(), c.states) << "threads=" << threads;
+      expect_models_bit_identical(ref, model, threads);
     }
   }
 }
 
-// --- Epilogue pins: the renumbering/assembly and reachable-state sweeps
-// run on the pool, so cap-truncated and subset-mask results are re-checked
-// byte-for-byte against the sequential engine at every thread count. ---
-
-TEST(ParExplore, EpilogueTruncationPinsAcrossThreadCounts) {
-  struct Case {
-    const char* algo;
-    graph::Topology t;
-    std::size_t cap;
-  };
-  const Case cases[] = {{"gdp2", graph::classic_ring(3), 20'000},
-                        {"lr2", graph::parallel_arcs(4), 12'000},
-                        {"gdp1", graph::ring_with_pendant(3), 8'000}};
-  const int hw = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  for (const Case& c : cases) {
-    SCOPED_TRACE(std::string(c.algo) + " on " + c.t.name() + " cap " + std::to_string(c.cap));
-    const auto algo = algos::make_algorithm(c.algo);
-    StateIndex seq_index;
-    const Model seq = explore_indexed(*algo, c.t, c.cap, seq_index);
-    ASSERT_TRUE(seq.truncated());
-    for (const int threads : {1, 2, hw}) {
-      par::CheckOptions opts;
-      opts.threads = threads;
-      opts.max_states = c.cap;
-      StateIndex par_index;
-      const Model par_model = par::explore_indexed(*algo, c.t, par_index, opts);
-      expect_models_bit_identical(seq, par_model, threads);
-      ASSERT_EQ(seq_index.size(), par_index.size());
-      // gdp-lint: allow(unordered-iteration) — membership check only; order-free
-      for (const auto& [key, id] : seq_index) {
-        const auto it = par_index.find(key);
-        ASSERT_NE(it, par_index.end());
-        EXPECT_EQ(it->second, id);
-      }
-    }
-  }
+// Larger capped runs: the interning epilogue and the frontier tail are
+// re-checked byte for byte, StateIndex included, at every thread count.
+TEST(ExploreThreads, TruncationPinsAcrossThreadCounts) {
+  expect_explore_thread_invariant("gdp2", graph::classic_ring(3), 20'000);
+  expect_explore_thread_invariant("lr2", graph::parallel_arcs(4), 12'000);
+  expect_explore_thread_invariant("gdp1", graph::ring_with_pendant(3), 8'000);
 }
 
-TEST(ParExplore, EpilogueSubsetMaskPinsAcrossThreadCounts) {
+TEST(ExploreThreads, SubsetMasksAgree) {
+  const auto algo = algos::make_algorithm("lr1");
   const auto t = graph::ring_with_pendant(3);
-  const auto algo = algos::make_algorithm("lr1");
-  const Model seq = explore(*algo, t);
   const int hw = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  for (const int threads : {1, 2, hw}) {
+  for (const int threads : {1, hw}) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    par::CheckOptions opts;
-    opts.threads = threads;
-    opts.seq_mec_threshold = 1;  // force the parallel MEC + reachable sweep
-    opts.seq_scc_region = 64;
-    const Model par_model = par::explore(*algo, t, opts);
-    expect_models_bit_identical(seq, par_model, threads);
-    for (const std::uint64_t mask : {std::uint64_t{0b0111}, std::uint64_t{0b1000},
-                                     ~std::uint64_t{0}}) {
-      expect_results_identical(check_fair_progress(seq, mask),
-                               par::check_fair_progress(par_model, mask, opts));
-    }
+    const Model model = explore(*algo, t, {.threads = threads});
+    // Progress wrt the ring philosophers H = {P0..P2} fails (Theorem 1);
+    // global progress is certified.
+    EXPECT_EQ(check_fair_progress(model, 0b0111).verdict, Verdict::kProgressFails);
+    EXPECT_EQ(check_fair_progress(model).verdict, Verdict::kProgressCertain);
   }
 }
 
-TEST(ParExplore, ParallelReachableSweepMatchesSequential) {
-  // Directly pin par::reachable_states (used by every parallel verdict)
-  // against the sequential sweep, with the thresholds forced low enough
-  // that the level-synchronous BFS actually fans out.
-  const auto algo = algos::make_algorithm("gdp2");
-  const Model model = explore(*algo, graph::classic_ring(3));
-  const auto seq = reachable_states(model);
-  for (const int threads : {2, 4}) {
-    par::CheckOptions opts;
-    opts.threads = threads;
-    opts.seq_mec_threshold = 1;
-    EXPECT_EQ(par::reachable_states(model, opts), seq) << "threads=" << threads;
-  }
-}
-
-TEST(ParExplore, SubsetMasksAgree) {
-  const auto algo = algos::make_algorithm("lr1");
-  const Model seq = explore(*algo, graph::ring_with_pendant(3));
-  par::CheckOptions opts;
-  opts.threads = 4;
-  opts.seq_mec_threshold = 1;
-  opts.seq_scc_region = 256;
-  const Model par_model = par::explore(*algo, graph::ring_with_pendant(3), opts);
-  // Progress wrt the ring philosophers H = {P0..P2} fails (Theorem 1);
-  // global progress is certified — both through the parallel pipeline.
-  expect_results_identical(check_fair_progress(seq, 0b0111),
-                           par::check_fair_progress(par_model, 0b0111, opts));
-  expect_results_identical(check_fair_progress(seq),
-                           par::check_fair_progress(par_model, ~std::uint64_t{0}, opts));
-  EXPECT_EQ(par::check_fair_progress(par_model, 0b0111, opts).verdict, Verdict::kProgressFails);
-  EXPECT_EQ(par::check_fair_progress(par_model, ~std::uint64_t{0}, opts).verdict,
-            Verdict::kProgressCertain);
-}
-
-TEST(ParExplore, RequiresHungryMode) {
+TEST(ExploreThreads, RequiresHungryMode) {
   const auto algo = algos::make_algorithm(
       "lr1", algos::AlgoConfig{.think = algos::ThinkMode::kCoin, .think_coin = 0.5});
-  par::CheckOptions opts;
-  opts.threads = 2;
-  EXPECT_THROW(par::explore(*algo, graph::classic_ring(3), opts), PreconditionError);
-}
-
-TEST(ParExplore, DefaultOptionsUseSequentialFallbacksOnTinyModels) {
-  // Default thresholds: a few-hundred-state model routes through the
-  // sequential MEC path; the result must of course still be identical.
-  const auto algo = algos::make_algorithm("lr1");
-  const Model seq = explore(*algo, graph::classic_ring(3));
-  par::CheckOptions opts;
-  opts.threads = 4;
-  const Model par_model = par::explore(*algo, graph::classic_ring(3), opts);
-  expect_models_bit_identical(seq, par_model, 4);
-  expect_mecs_identical(maximal_end_components(seq),
-                        par::maximal_end_components(par_model, ~std::uint64_t{0}, opts));
+  EXPECT_THROW(explore(*algo, graph::classic_ring(3), {.threads = 2}), PreconditionError);
 }
 
 }  // namespace

@@ -28,7 +28,8 @@
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/common/pool.hpp"
 #include "gdp/graph/builders.hpp"
-#include "gdp/mdp/par/par.hpp"
+#include "gdp/mdp/fair_progress.hpp"
+#include "gdp/mdp/model.hpp"
 #include "gdp/mdp/quant/quant.hpp"
 #include "gdp/mdp/store/store.hpp"
 #include "gdp/obs/obs.hpp"
@@ -354,7 +355,7 @@ TEST_F(ObsTest, QuantCountersMatchAnalyzeStats) {
 TEST_F(ObsTest, ExploreCountersMatchTheModel) {
   const auto algo = algos::make_algorithm("lr2");
   const auto t = graph::classic_ring(3);
-  const mdp::Model model = mdp::par::explore(*algo, t);
+  const mdp::Model model = mdp::explore(*algo, t);
   std::size_t edges = 0;
   for (mdp::StateId s = 0; s < model.num_states(); ++s) {
     for (int p = 0; p < model.num_phils(); ++p) {
@@ -374,6 +375,35 @@ TEST_F(ObsTest, ExploreCountersMatchTheModel) {
     EXPECT_EQ(h.count, metric(snap.counters, "explore.levels"));
   }
   EXPECT_TRUE(found);
+}
+
+// The one MEC kernel records a "mec.decompose" span per call at every
+// thread count; spans are timing plane, so the fingerprint stays put.
+TEST_F(ObsTest, MecDecomposeSpanCountsEveryMecCall) {
+  const auto algo = algos::make_algorithm("lr1");
+  const auto t = graph::ring_with_pendant(3);
+  const int hw = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+  std::uint64_t reference = 0;
+  for (const int threads : {1, hw}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    Registry::global().reset();
+    const mdp::Model model = mdp::explore(*algo, t, {.threads = threads});
+    (void)mdp::check_fair_progress(model);
+    std::uint64_t mec_calls = 1;
+    for (PhilId v = 0; v < t.num_phils(); ++v) {
+      (void)mdp::check_lockout_freedom(model, v);
+      ++mec_calls;
+    }
+    const Snapshot snap = Registry::global().snapshot();
+    std::uint64_t spans = 0;
+    for (const auto& s : snap.spans) {
+      if (s.name == "mec.decompose") spans = s.count;
+    }
+    EXPECT_EQ(spans, mec_calls);
+    const std::uint64_t fp = deterministic_fingerprint(snap);
+    if (threads == 1) reference = fp;
+    EXPECT_EQ(fp, reference);
+  }
 }
 
 // --- The load-bearing matrix: bit-identity at every thread count. -----------
@@ -402,10 +432,10 @@ TEST_F(ObsTest, DeterministicPlaneBitIdenticalAcrossThreadCounts) {
     for (const int threads : thread_counts()) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       Registry::global().reset();
-      mdp::par::CheckOptions opts;
+      mdp::CheckOptions opts;
       opts.threads = threads;
-      const auto model = mdp::par::explore(*algo, c.t, opts);
-      (void)mdp::par::check_fair_progress(model, ~std::uint64_t{0}, opts);
+      const auto model = mdp::explore(*algo, c.t, opts);
+      (void)mdp::check_fair_progress(model, ~std::uint64_t{0});
       mdp::quant::QuantOptions qopts;
       qopts.threads = threads;
       (void)mdp::quant::analyze(model, ~std::uint64_t{0}, qopts);
@@ -426,7 +456,7 @@ TEST_F(ObsTest, ObsDoesNotPerturbModelsOrVerdicts) {
   auto run = [&]() {
     const auto chunked = mdp::store::explore(*algo, t);
     const auto model = chunked.materialize();
-    const auto verdict = mdp::par::check_fair_progress(model);
+    const auto verdict = mdp::check_fair_progress(model);
     const auto q = mdp::quant::analyze(model);
     return std::tuple(chunked.fingerprint(), verdict.verdict, q.sweeps, q.p_min.lower,
                       q.p_min.upper);
@@ -599,11 +629,11 @@ TEST_F(TimelineTest, TimelineDoesNotPerturbResultsAtAnyThreadCount) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     auto run = [&]() {
       Registry::global().reset();
-      mdp::par::CheckOptions opts;
+      mdp::CheckOptions opts;
       opts.threads = threads;
       const auto chunked = mdp::store::explore(*algo, t, {}, opts);
       const auto model = chunked.materialize();
-      const auto verdict = mdp::par::check_fair_progress(model, ~std::uint64_t{0}, opts);
+      const auto verdict = mdp::check_fair_progress(model, ~std::uint64_t{0});
       mdp::quant::QuantOptions qopts;
       qopts.threads = threads;
       const auto q = mdp::quant::analyze(model, ~std::uint64_t{0}, qopts);

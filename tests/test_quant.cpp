@@ -15,7 +15,7 @@
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/chain_analysis.hpp"
 #include "gdp/mdp/fair_progress.hpp"
-#include "gdp/mdp/par/par.hpp"
+#include "gdp/mdp/model.hpp"
 #include "gdp/mdp/quant/quant.hpp"
 
 namespace gdp::mdp::quant {
@@ -191,7 +191,7 @@ TEST(QuantTruncated, HandBuiltFrontierStraddles) {
 // bound only rises, the upper only falls), and upper >= lower throughout.
 TEST(QuantBrackets, EpsilonNesting) {
   const auto algo = algos::make_algorithm("lr1");
-  const Model m = par::explore(*algo, graph::parallel_arcs(3));
+  const Model m = explore(*algo, graph::parallel_arcs(3));
   QuantResult prev;
   bool have_prev = false;
   for (const double eps : {1e-2, 1e-4, 1e-6}) {
@@ -247,7 +247,7 @@ TEST(QuantDeterminism, BitIdenticalAcrossThreadCounts) {
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.algo) + " on " + c.t.name());
     const auto algo = algos::make_algorithm(c.algo);
-    const Model m = par::explore(*algo, c.t);
+    const Model m = explore(*algo, c.t);
     QuantResult base;
     bool have_base = false;
     for (const int threads : quant_thread_counts()) {
@@ -255,8 +255,6 @@ TEST(QuantDeterminism, BitIdenticalAcrossThreadCounts) {
       QuantOptions opts;
       opts.threads = threads;
       opts.seq_sweep_threshold = 1;  // force the pool even on small models
-      opts.seq_mec_threshold = 1;
-      opts.seq_scc_region = 32;
       const QuantResult r = analyze(m, ~std::uint64_t{0}, opts);
       if (have_base) {
         expect_identical_intervals(base, r);
@@ -284,7 +282,7 @@ TEST(QuantMultiTarget, BitIdenticalToSingleTargetCalls) {
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.algo) + " on " + c.t.name());
     const auto algo = algos::make_algorithm(c.algo);
-    const Model m = par::explore(*algo, c.t);
+    const Model m = explore(*algo, c.t);
 
     // All singleton masks (per-philosopher lockout freedom) plus the union
     // target and a repeat — repeats must not perturb the shared state.
@@ -298,8 +296,6 @@ TEST(QuantMultiTarget, BitIdenticalToSingleTargetCalls) {
       QuantOptions opts;
       opts.threads = threads;
       opts.seq_sweep_threshold = 1;  // force the pool even on small models
-      opts.seq_mec_threshold = 1;
-      opts.seq_scc_region = 32;
       const std::vector<QuantResult> multi = analyze(m, targets, opts);
       ASSERT_EQ(multi.size(), targets.size());
       for (std::size_t i = 0; i < targets.size(); ++i) {
@@ -324,9 +320,9 @@ TEST(QuantMultiTarget, BitIdenticalToSingleTargetCalls) {
 void expect_quant_matches_verdict(const std::string& algo_name, const graph::Topology& t) {
   SCOPED_TRACE(algo_name + " on " + t.name());
   const auto algo = algos::make_algorithm(algo_name);
-  const Model m = par::explore(*algo, t);
+  const Model m = explore(*algo, t);
   ASSERT_FALSE(m.truncated());
-  const FairProgressResult verdict = par::check_fair_progress(m);
+  const FairProgressResult verdict = check_fair_progress(m);
 
   const int hw = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
   QuantResult base;
@@ -385,9 +381,9 @@ void expect_chain_inside_bounds(const std::string& algo_name, const graph::Topol
                                 std::size_t max_states) {
   SCOPED_TRACE(algo_name + " on " + t.name());
   const auto algo = algos::make_algorithm(algo_name);
-  par::CheckOptions copts;
+  CheckOptions copts;
   copts.max_states = max_states;
-  const Model m = par::explore(*algo, t, copts);
+  const Model m = explore(*algo, t, copts);
 
   QuantOptions opts;
   opts.max_states = max_states;
@@ -408,7 +404,7 @@ void expect_chain_inside_bounds(const std::string& algo_name, const graph::Topol
     EXPECT_GE(chain.expected_steps, r.e_min.lower - 1e-5);
   }
 
-  const FairProgressResult verdict = par::check_fair_progress(m);
+  const FairProgressResult verdict = check_fair_progress(m);
   if (verdict.verdict == Verdict::kProgressCertain) {
     EXPECT_TRUE(r.progress_certain());
   } else {

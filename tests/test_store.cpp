@@ -7,7 +7,7 @@
 // run — a capped run is a checkpoint, never a dead end.
 //
 // The chunk-native verdict matrix is the other load-bearing suite: the
-// par:: / quant:: kernels instantiated over ChunkedModel must match the
+// mdp:: / quant:: kernels instantiated over ChunkedModel must match the
 // materialized path bit for bit (and never materialize — the
 // "store.materializations" counter is pinned at 0 across the verdict and
 // resume paths).
@@ -161,14 +161,14 @@ TEST(Store, CheckpointResumeComposesWithOneShot) {
     for (int threads : thread_counts()) {
       SCOPED_TRACE(std::string(combo.algo) + " on " + combo.topology.name() +
                    " at threads=" + std::to_string(threads));
-      par::CheckOptions final_opts;
+      CheckOptions final_opts;
       final_opts.threads = threads;
       final_opts.max_states = combo.final_cap;
 
       const ChunkedModel one_shot =
           explore(*algo, combo.topology, suite_options(scratch), final_opts);
 
-      par::CheckOptions capped_opts = final_opts;
+      CheckOptions capped_opts = final_opts;
       capped_opts.max_states = combo.small_cap;
       const ChunkedModel capped =
           explore(*algo, combo.topology, suite_options(scratch), capped_opts);
@@ -329,11 +329,11 @@ TEST(Store, AnalysesMatchContiguousPathOnCompleteModels) {
   ASSERT_FALSE(model.truncated());
 
   const auto reach_store = reachable_states(chunked);
-  const auto reach_direct = par::reachable_states(model);
+  const auto reach_direct = mdp::reachable_states(model);
   EXPECT_EQ(reach_store, reach_direct);
 
   const auto mecs_store = maximal_end_components(chunked);
-  const auto mecs_direct = par::maximal_end_components(model);
+  const auto mecs_direct = mdp::maximal_end_components(model);
   ASSERT_EQ(mecs_store.size(), mecs_direct.size());
   for (std::size_t i = 0; i < mecs_store.size(); ++i) {
     EXPECT_EQ(mecs_store[i].states, mecs_direct[i].states) << "MEC " << i;
@@ -341,7 +341,7 @@ TEST(Store, AnalysesMatchContiguousPathOnCompleteModels) {
   }
 
   const auto fair_store = check_fair_progress(chunked);
-  const auto fair_direct = par::check_fair_progress(model);
+  const auto fair_direct = mdp::check_fair_progress(model);
   EXPECT_EQ(fair_store.verdict, fair_direct.verdict);
   EXPECT_EQ(fair_store.num_mecs, fair_direct.num_mecs);
   EXPECT_EQ(fair_store.num_fair_mecs, fair_direct.num_fair_mecs);
@@ -365,7 +365,7 @@ TEST(Store, TruncatedModelsKeepRefusalSemantics) {
   const ScratchDir scratch("truncated");
   const auto algo = algos::make_algorithm("gdp2");
   const auto t = graph::classic_ring(3);
-  par::CheckOptions capped;
+  CheckOptions capped;
   capped.max_states = 2'000;
   const ChunkedModel chunked = explore(*algo, t, suite_options(scratch, 512), capped);
   ASSERT_TRUE(chunked.truncated());
@@ -374,7 +374,7 @@ TEST(Store, TruncatedModelsKeepRefusalSemantics) {
   // The bridge inherits the engines' truncation semantics exactly: same
   // verdict as the contiguous path, and quant can never certify.
   const auto fair_store = check_fair_progress(chunked);
-  const auto fair_direct = par::check_fair_progress(model);
+  const auto fair_direct = mdp::check_fair_progress(model);
   EXPECT_EQ(fair_store.verdict, fair_direct.verdict);
   EXPECT_EQ(fair_store.witness_size, fair_direct.witness_size);
 
@@ -414,7 +414,7 @@ TEST(Store, ChunkNativeVerdictsMatchMaterializedPath) {
     for (int threads : thread_counts()) {
       SCOPED_TRACE(std::string(combo.algo) + " on " + combo.topology.name() +
                    " at threads=" + std::to_string(threads));
-      par::CheckOptions opts;
+      CheckOptions opts;
       opts.threads = threads;
       opts.max_states = combo.cap;
 
@@ -425,8 +425,8 @@ TEST(Store, ChunkNativeVerdictsMatchMaterializedPath) {
       const Model model = chunked.materialize();
       const std::uint64_t mats_before = materializations_counter().value();
 
-      const auto fair_store = check_fair_progress(chunked, ~std::uint64_t{0}, opts);
-      const auto fair_direct = par::check_fair_progress(model, ~std::uint64_t{0}, opts);
+      const auto fair_store = check_fair_progress(chunked, ~std::uint64_t{0});
+      const auto fair_direct = mdp::check_fair_progress(model, ~std::uint64_t{0});
       EXPECT_EQ(fair_store.verdict, fair_direct.verdict);
       EXPECT_EQ(fair_store.num_mecs, fair_direct.num_mecs);
       EXPECT_EQ(fair_store.num_fair_mecs, fair_direct.num_fair_mecs);
@@ -460,7 +460,7 @@ TEST(Store, ResumeDoesNotMaterialize) {
   const auto algo = algos::make_algorithm("lr2");
   const auto t = graph::classic_ring(3);
 
-  par::CheckOptions capped;
+  CheckOptions capped;
   capped.max_states = 2'000;
   const ChunkedModel checkpoint = explore(*algo, t, suite_options(scratch, 512), capped);
   ASSERT_TRUE(checkpoint.truncated());

@@ -30,7 +30,7 @@ TEST(Witness, SynthesizedAdversaryTrapsLr1OnParallel3) {
   const auto t = graph::parallel_arcs(3);
   const auto lr1 = algos::make_algorithm("lr1");
   StateIndex index;
-  const Model model = explore_indexed(*lr1, t, 1'000'000, index);
+  const Model model = explore_indexed(*lr1, t, index, {.max_states = 1'000'000});
   const auto ec = fair_witness(model);
   ASSERT_TRUE(ec.has_value());
 
@@ -57,7 +57,7 @@ TEST(Witness, TrappedRunsStopEatingPermanently) {
   const auto t = graph::parallel_arcs(3);
   const auto lr1 = algos::make_algorithm("lr1");
   StateIndex index;
-  const Model model = explore_indexed(*lr1, t, 1'000'000, index);
+  const Model model = explore_indexed(*lr1, t, index, {.max_states = 1'000'000});
   const auto ec = fair_witness(model);
   ASSERT_TRUE(ec.has_value());
 
@@ -82,7 +82,7 @@ TEST(Witness, FairRotationInsideTheComponent) {
   const auto t = graph::parallel_arcs(3);
   const auto lr1 = algos::make_algorithm("lr1");
   StateIndex index;
-  const Model model = explore_indexed(*lr1, t, 1'000'000, index);
+  const Model model = explore_indexed(*lr1, t, index, {.max_states = 1'000'000});
   const auto ec = fair_witness(model);
   ASSERT_TRUE(ec.has_value());
 
@@ -101,7 +101,7 @@ TEST(Witness, NoFairWitnessWhereProgressCertified) {
   for (const char* name : {"gdp1", "gdp2c"}) {
     const auto algo = algos::make_algorithm(name);
     const auto t = graph::parallel_arcs(3);
-    const Model model = explore(*algo, t, 1'000'000);
+    const Model model = explore(*algo, t, {.max_states = 1'000'000});
     EXPECT_FALSE(fair_witness(model).has_value()) << name;
   }
 }
@@ -110,7 +110,7 @@ TEST(Witness, ExplorerIndexRoundTrips) {
   const auto t = graph::classic_ring(3);
   const auto lr1 = algos::make_algorithm("lr1");
   StateIndex index;
-  const Model model = explore_indexed(*lr1, t, 1'000'000, index);
+  const Model model = explore_indexed(*lr1, t, index, {.max_states = 1'000'000});
   EXPECT_EQ(index.size(), model.num_states());
   // The initial state's packed encoding maps to id 0, and the stored key
   // decodes back to the initial configuration.
@@ -124,7 +124,7 @@ TEST(Witness, RejectsEmptyComponent) {
   const auto t = graph::classic_ring(3);
   const auto lr1 = algos::make_algorithm("lr1");
   StateIndex index;
-  const Model model = explore_indexed(*lr1, t, 1'000'000, index);
+  const Model model = explore_indexed(*lr1, t, index, {.max_states = 1'000'000});
   EXPECT_THROW(WitnessScheduler(model, index, EndComponent{}), PreconditionError);
 }
 
