@@ -1,9 +1,14 @@
 // Microbenchmarks (google-benchmark) over the library's hot paths: RNG,
 // a single algorithm step, whole-engine simulation throughput, MDP
-// exploration rate and the π guarded-choice layer.
+// exploration rate at threads 1 and hw, the pool's per-call cost and the π
+// guarded-choice layer.
 #include <benchmark/benchmark.h>
 
+#include <array>
+#include <cstdint>
+
 #include "gdp/algos/algorithm.hpp"
+#include "gdp/common/pool.hpp"
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/fair_progress.hpp"
 #include "gdp/pi/guarded_choice.hpp"
@@ -53,17 +58,35 @@ void BM_EngineSteps(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineSteps)->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
+// Args: ring size, explorer threads (0 = hardware concurrency).
 void BM_MdpExplore(benchmark::State& state) {
   const auto algo = algos::make_algorithm("lr1");
   const auto t = graph::classic_ring(static_cast<int>(state.range(0)));
+  const int threads = static_cast<int>(state.range(1));
   for (auto _ : state) {
-    const auto model = mdp::explore(*algo, t, {.threads = 1, .max_states = 2'000'000});
+    const auto model = mdp::explore(*algo, t, {.threads = threads, .max_states = 2'000'000});
     benchmark::DoNotOptimize(model.num_states());
     state.counters["states"] = static_cast<double>(model.num_states());
   }
   state.SetLabel("complete exploration");
 }
-BENCHMARK(BM_MdpExplore)->Arg(3)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_MdpExplore)
+    ->ArgsProduct({{3, 4}, {1, 0}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+// One parallel_for call over 4 trivial indices at 4 threads: the pool's
+// per-call cost (it spawns and joins OS threads on every call), which is
+// why the explorer interns levels below a size cutoff inline.
+void BM_ParallelForCall(benchmark::State& state) {
+  std::array<std::uint64_t, 4> slots{};
+  for (auto _ : state) {
+    common::parallel_for(slots.size(), 4, [&](std::uint32_t i) { slots[i] += i; });
+    benchmark::DoNotOptimize(slots.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_ParallelForCall)->Unit(benchmark::kMicrosecond)->UseRealTime();
 
 void BM_FairProgressCheck(benchmark::State& state) {
   const auto algo = algos::make_algorithm("lr1");

@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
   if (want('b')) {
   std::printf("\n(b) packed state keys (gdp::mdp::KeyCodec): intern-table + frontier memory:\n");
   stats::Table keys({"model", "states", "B/state packed", "B/state legacy", "ratio",
-                     "peak intern key bytes", "frontier B/item", "was (SimState)"});
+                     "peak intern bytes (keys+slots)", "frontier B/item", "was (SimState)"});
   struct KeyCase {
     const char* algo;
     graph::Topology t;
@@ -123,11 +123,9 @@ int main(int argc, char** argv) {
     b += s.aux.capacity() * sizeof(std::int32_t);
     return b;
   };
-  // The level-synchronous explorer keeps every key twice for the whole run
-  // — once in the intern index and once in the id-ordered key array behind
-  // take_model and the chunked store — so the honest peak doubles the
-  // per-state footprint at every thread count.
-  const std::size_t copies = 2;
+  // The explorer's StateIndex keeps every key once, in its flat id-ordered
+  // array (the same array take_model hands the chunked store), plus one
+  // 4-byte id slot per hash-table entry; both are thread-invariant.
   for (const KeyCase& kc : key_cases) {
     const auto algo = algos::make_algorithm(kc.algo);
     mdp::StateIndex index;
@@ -135,8 +133,8 @@ int main(int argc, char** argv) {
     const auto& codec = index.codec();
     const std::size_t packed = codec.key_bytes();
     const std::size_t legacy = codec.legacy_key_bytes();
-    const std::size_t peak_packed = index.size() * packed * copies;
-    const std::size_t peak_legacy = index.size() * legacy * copies;
+    const std::size_t peak_packed = index.key_bytes() + index.slot_bytes();
+    const std::size_t peak_legacy = index.size() * legacy + index.slot_bytes();
     // A frontier item is one provisional id plus the packed key (wide
     // layouts spill to a heap block of exactly key_bytes()).
     const std::size_t frontier_item =
@@ -152,11 +150,11 @@ int main(int argc, char** argv) {
                   std::to_string(frontier_item), std::to_string(frontier_was)});
     // Machine-readable line for BENCH json tracking of the memory win.
     std::printf("  BENCH key_bytes model=%s/%s states=%zu packed_bytes_per_state=%zu "
-                "legacy_bytes_per_state=%zu peak_intern_key_bytes=%zu "
-                "final_intern_key_bytes=%zu frontier_item_bytes=%zu "
+                "legacy_bytes_per_state=%zu peak_intern_bytes=%zu "
+                "intern_key_bytes=%zu intern_slot_bytes=%zu frontier_item_bytes=%zu "
                 "frontier_item_bytes_legacy=%zu\n",
                 kc.algo, kc.t.name().c_str(), model.num_states(), packed, legacy, peak_packed,
-                index.size() * packed, frontier_item, frontier_was);
+                index.key_bytes(), index.slot_bytes(), frontier_item, frontier_was);
   }
   keys.print();
   }

@@ -1,5 +1,6 @@
 #include "gdp/mdp/key.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "gdp/common/check.hpp"
@@ -159,15 +160,18 @@ void KeyCodec::encode(const sim::SimState& state, PackedKey& out) const {
 }
 
 sim::SimState KeyCodec::decode(const PackedKey& key) const {
-  GDP_CHECK_MSG(valid(), "decode on an unset KeyCodec");
   GDP_CHECK_MSG(key.words() == words_, "key width " << key.words() << " != layout " << words_);
+  return decode(key.data());
+}
+
+sim::SimState KeyCodec::decode(const std::uint64_t* w) const {
+  GDP_CHECK_MSG(valid(), "decode on an unset KeyCodec");
 
   sim::SimState state;
   state.forks.resize(static_cast<std::size_t>(num_forks_));
   state.phils.resize(static_cast<std::size_t>(num_phils_));
   state.aux.resize(static_cast<std::size_t>(aux_words_));
 
-  const std::uint64_t* w = key.data();
   std::size_t bit = 0;
 
   for (ForkId f = 0; f < num_forks_; ++f) {
@@ -194,6 +198,132 @@ sim::SimState KeyCodec::decode(const PackedKey& key) const {
     word = static_cast<std::int32_t>(get_bits(w, bit, aux_bits_)) - 1;
   }
   return state;
+}
+
+// ---------------------------------------------------------------------------
+// StateIndex
+// ---------------------------------------------------------------------------
+
+namespace {
+
+/// Smallest shard table; keeps the probe mask arithmetic free of a zero case.
+constexpr std::size_t kMinShardSlots = 16;
+
+}  // namespace
+
+void StateIndex::reset(const KeyCodec& codec) {
+  codec_ = codec;
+  kw_ = codec.key_words();
+  size_ = 0;
+  keys_.clear();
+  shards_.assign(kShards, Shard{});
+  for (Shard& shard : shards_) shard.slots.assign(kMinShardSlots, kEmpty);
+}
+
+void StateIndex::restore(const KeyCodec& codec, std::vector<std::uint64_t> flat_keys) {
+  reset(codec);
+  GDP_CHECK_MSG(kw_ > 0 && flat_keys.size() % kw_ == 0,
+                "StateIndex: " << flat_keys.size() << " key words are not whole " << kw_
+                               << "-word keys");
+  const std::size_t n = flat_keys.size() / kw_;
+  GDP_CHECK_MSG(n < kPendingTag, "StateIndex: " << n << " states exceed the 2^31 id range");
+  // Size every shard once for its final load, then place keys in id order.
+  std::vector<std::uint64_t> hashes(n);
+  std::vector<std::size_t> per_shard(kShards, 0);
+  for (std::size_t id = 0; id < n; ++id) {
+    hashes[id] = hash_key_words(flat_keys.data() + id * kw_, kw_);
+    ++per_shard[shard_of(hashes[id])];
+  }
+  for (std::size_t s = 0; s < kShards; ++s) grow_shard(s, per_shard[s]);
+  keys_ = std::move(flat_keys);
+  size_ = n;
+  for (std::size_t id = 0; id < n; ++id) {
+    const std::optional<StateId> dup = find_hashed(key(static_cast<StateId>(id)), hashes[id]);
+    GDP_CHECK_MSG(!dup.has_value(),
+                  "StateIndex: duplicate key at id " << id << " (first stored at id " << *dup << ")");
+    place(hashes[id], static_cast<StateId>(id));
+  }
+}
+
+std::size_t StateIndex::slot_bytes() const {
+  std::size_t slots = 0;
+  for (const Shard& shard : shards_) slots += shard.slots.size();
+  return slots * sizeof(std::uint32_t);
+}
+
+std::optional<StateId> StateIndex::find(const std::uint64_t* words) const {
+  if (size_ == 0) return std::nullopt;
+  return find_hashed(words, hash_key_words(words, kw_));
+}
+
+std::optional<StateId> StateIndex::find_hashed(const std::uint64_t* words,
+                                               std::uint64_t hash) const {
+  const Shard& shard = shards_[shard_of(hash)];
+  const std::size_t mask = shard.slots.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const std::uint32_t v = shard.slots[i];
+    if (v == kEmpty) return std::nullopt;
+    if (std::equal(words, words + kw_, key(v))) return v;
+  }
+}
+
+void StateIndex::place(std::uint64_t hash, StateId id) {
+  Shard& shard = shards_[shard_of(hash)];
+  const std::size_t mask = shard.slots.size() - 1;
+  std::size_t i = hash & mask;
+  while (shard.slots[i] != kEmpty) i = (i + 1) & mask;
+  shard.slots[i] = id;
+  ++shard.used;
+}
+
+void StateIndex::grow_shard(std::size_t s, std::size_t incoming) {
+  Shard& shard = shards_[s];
+  const std::size_t need = 2 * (shard.used + incoming);
+  if (shard.slots.size() >= need) return;
+  std::vector<std::uint32_t> old = std::move(shard.slots);
+  shard.slots.assign(std::bit_ceil(need), kEmpty);
+  shard.used = 0;
+  for (const std::uint32_t id : old) {
+    if (id != kEmpty) place(hash_key_words(key(id), kw_), id);
+  }
+}
+
+std::uint32_t StateIndex::find_or_claim(std::uint64_t hash, const std::uint64_t* level_keys,
+                                        std::uint32_t pos) {
+  Shard& shard = shards_[shard_of(hash)];
+  const std::uint64_t* words = level_keys + static_cast<std::size_t>(pos) * kw_;
+  const std::size_t mask = shard.slots.size() - 1;
+  for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+    const std::uint32_t v = shard.slots[i];
+    if (v == kEmpty) {
+      shard.slots[i] = kPendingTag | pos;
+      shard.claimed.push_back(static_cast<std::uint32_t>(i));
+      return kPendingTag | pos;
+    }
+    const std::uint64_t* other =
+        (v & kPendingTag) != 0
+            ? level_keys + static_cast<std::size_t>(v & ~kPendingTag) * kw_
+            : key(v);
+    if (std::equal(words, words + kw_, other)) return v;
+  }
+}
+
+std::uint64_t* StateIndex::append(std::size_t n) {
+  GDP_CHECK_MSG(size_ + n < kPendingTag,
+                "StateIndex: " << size_ + n << " states exceed the 2^31 id range");
+  keys_.resize((size_ + n) * kw_);
+  std::uint64_t* first = keys_.data() + size_ * kw_;
+  size_ += n;
+  return first;
+}
+
+void StateIndex::settle_shard(std::size_t s, const std::uint32_t* id_of) {
+  Shard& shard = shards_[s];
+  for (const std::uint32_t i : shard.claimed) {
+    shard.slots[i] = id_of[shard.slots[i] & ~kPendingTag];
+  }
+  shard.used += shard.claimed.size();
+  shard.claimed.clear();
 }
 
 }  // namespace gdp::mdp

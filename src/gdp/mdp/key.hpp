@@ -34,7 +34,8 @@
 
 #include <array>
 #include <cstdint>
-#include <unordered_map>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "gdp/algos/algorithm.hpp"
@@ -44,11 +45,15 @@
 
 namespace gdp::mdp {
 
+namespace detail {
+class LevelExplorer;
+}  // namespace detail
+
 using StateId = std::uint32_t;
 
 /// A fixed-width bit-packed state key: `words()` 64-bit words, value
 /// semantics, word-wise equality. Keys up to kInlineWords live inline (no
-/// heap traffic in the intern tables); wider layouts — e.g. books at high
+/// heap traffic per encode); wider layouts — e.g. books at high
 /// degree — spill to a heap block of exactly words() words.
 class PackedKey {
  public:
@@ -144,15 +149,14 @@ class PackedKey {
   };
 };
 
-/// Word-wise splitmix fold; replaces the byte-wise FNV of the old keys.
-struct PackedKeyHash {
-  std::size_t operator()(const PackedKey& key) const {
-    std::uint64_t h = 0x9e3779b97f4a7c15ULL + key.words();
-    const std::uint64_t* w = key.data();
-    for (std::size_t i = 0; i < key.words(); ++i) h = rng::splitmix64_once(h ^ w[i]);
-    return static_cast<std::size_t>(h);
-  }
-};
+/// Word-wise splitmix fold over a key's word run (the StateIndex hash);
+/// replaces the byte-wise FNV of the old keys.
+inline std::uint64_t hash_key_words(const std::uint64_t* w, std::size_t words) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL + words;
+  for (std::size_t i = 0; i < words; ++i) h = rng::splitmix64_once(h ^ w[i]);
+  return h;
+}
+
 
 /// The layout, computed once from (algorithm, topology); encode/decode are
 /// const and safe to share across exploration workers.
@@ -193,6 +197,8 @@ class KeyCodec {
 
   /// Exact inverse of encode() on keys it produced.
   sim::SimState decode(const PackedKey& key) const;
+  /// decode() of a key stored as a key_words()-word run.
+  sim::SimState decode(const std::uint64_t* words) const;
 
  private:
   int num_forks_ = 0;
@@ -209,43 +215,133 @@ class KeyCodec {
   std::size_t words_ = 0;
 };
 
-/// The encoded-state -> id map the explorers return: the packed-key hash map
-/// plus the codec that produced the keys, so callers holding only the index
-/// (WitnessScheduler, the differential tests) can locate live SimStates and
-/// decode stored keys back into configurations.
+/// The state table the explorers build and return: the codec, every state's
+/// packed key stored ONCE in a flat id-ordered word array, and kShards
+/// open-addressing shards of 32-bit ids over those keys (linear probing, load
+/// at most 1/2). A key's splitmix hash picks its shard (top bits) and home
+/// slot (low bits); a slot holds kEmpty or an id, so the whole index costs
+/// key_bytes() + slot_bytes() — no per-key node, no second key copy.
+///
+/// Callers holding only the index (WitnessScheduler, the differential tests)
+/// locate live SimStates with find/count and decode stored keys back into
+/// configurations with codec().decode(key(id)). Iteration runs in id order.
+///
+/// Phase-concurrent interning (Shun & Blelloch, "Phase-Concurrent Hash
+/// Tables for Determinism", SPAA 2014): during one level of the explorer
+/// each shard is owned by one task, which resolves that shard's successor
+/// occurrences in ascending level position. An absent key is claimed as
+/// kPendingTag | position — "pending, first seen at position j" — and later
+/// occurrences of it resolve to that same tag. The explorer then numbers
+/// the first occurrences in position order (a prefix scan), appends their
+/// keys and settles every shard, turning pending tags into those ids. So
+/// ids and level positions share 31 bits, checked where they are minted.
 class StateIndex {
  public:
-  using Map = std::unordered_map<PackedKey, StateId, PackedKeyHash>;
-  using const_iterator = Map::const_iterator;
-  using value_type = Map::value_type;
+  static constexpr std::uint32_t kPendingTag = std::uint32_t{1} << 31;
+  static constexpr std::size_t kShardBits = 6;
+  static constexpr std::size_t kShards = std::size_t{1} << kShardBits;
 
   StateIndex() = default;
 
   /// Installs the codec and clears any previous contents.
-  void reset(const KeyCodec& codec) {
-    codec_ = codec;
-    map_.clear();
-  }
+  void reset(const KeyCodec& codec);
+
+  /// Installs the codec and rebuilds the table from id-ordered flat keys
+  /// (key_words() words per state — a checkpoint's, or the initial state's),
+  /// hashing every key once. Throws PreconditionError on a duplicate key.
+  void restore(const KeyCodec& codec, std::vector<std::uint64_t> flat_keys);
 
   const KeyCodec& codec() const { return codec_; }
+  std::size_t key_words() const { return kw_; }
 
-  std::size_t size() const { return map_.size(); }
-  bool empty() const { return map_.empty(); }
-  void reserve(std::size_t n) { map_.reserve(n); }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
-  std::pair<Map::iterator, bool> try_emplace(const PackedKey& key, StateId id) {
-    return map_.try_emplace(key, id);
+  /// The key_words() words of state `id`'s key.
+  const std::uint64_t* key(StateId id) const {
+    return keys_.data() + static_cast<std::size_t>(id) * kw_;
   }
-  const_iterator find(const PackedKey& key) const { return map_.find(key); }
-  const_iterator find(const sim::SimState& state) const { return map_.find(codec_.encode(state)); }
-  std::size_t count(const sim::SimState& state) const { return map_.count(codec_.encode(state)); }
+  /// Every key, id-ordered, key_words() words each.
+  const std::vector<std::uint64_t>& flat_keys() const { return keys_; }
 
-  const_iterator begin() const { return map_.begin(); }
-  const_iterator end() const { return map_.end(); }
+  std::optional<StateId> find(const std::uint64_t* words) const;
+  std::optional<StateId> find(const PackedKey& key) const {
+    if (key.words() != kw_) return std::nullopt;
+    return find(key.data());
+  }
+  std::optional<StateId> find(const sim::SimState& state) const {
+    return find(codec_.encode(state));
+  }
+  std::size_t count(const sim::SimState& state) const { return find(state).has_value() ? 1 : 0; }
+
+  /// Footprint: the flat keys, and the shards' slot arrays.
+  std::size_t key_bytes() const { return keys_.size() * sizeof(std::uint64_t); }
+  std::size_t slot_bytes() const;
+
+  /// Id-ordered iteration over (key, id) pairs; keys are copied out.
+  class const_iterator {
+   public:
+    using value_type = std::pair<PackedKey, StateId>;
+    const_iterator(const StateIndex* index, StateId id) : index_(index), id_(id) {}
+    value_type operator*() const {
+      PackedKey key;
+      key.assign(index_->key(id_), index_->kw_);
+      return {std::move(key), id_};
+    }
+    const_iterator& operator++() {
+      ++id_;
+      return *this;
+    }
+    bool operator==(const const_iterator& rhs) const { return id_ == rhs.id_; }
+
+   private:
+    const StateIndex* index_;
+    StateId id_;
+  };
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, static_cast<StateId>(size_)}; }
 
  private:
+  // --- Phase-concurrent interning, driven by the level explorer. ---
+  // Calls for distinct shards may run concurrently; nothing else may run
+  // concurrently with append().
+  friend class detail::LevelExplorer;
+
+  static std::size_t shard_of(std::uint64_t hash) { return hash >> (64 - kShardBits); }
+
+  /// Grows `shard` so that `incoming` more keys keep its load at most 1/2.
+  void grow_shard(std::size_t shard, std::size_t incoming);
+
+  /// Resolves the key at `level_keys + pos * key_words()` (hash `hash`) in
+  /// its shard: an existing id, the pending tag of an earlier position with
+  /// the same key, or — claiming an empty slot — kPendingTag | pos itself.
+  std::uint32_t find_or_claim(std::uint64_t hash, const std::uint64_t* level_keys,
+                              std::uint32_t pos);
+
+  /// Appends `n` zeroed keys as ids [size(), size() + n) and returns the
+  /// first one's words for the caller to fill.
+  std::uint64_t* append(std::size_t n);
+
+  /// Replaces every slot `shard` claimed this phase, kPendingTag | pos, by
+  /// id_of[pos] — the id the prefix scan gave that first occurrence.
+  void settle_shard(std::size_t shard, const std::uint32_t* id_of);
+
+  static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+  struct alignas(64) Shard {
+    std::vector<std::uint32_t> slots;    // kEmpty, an id, or a pending tag
+    std::vector<std::uint32_t> claimed;  // slots claimed pending this phase
+    std::size_t used = 0;                // settled ids in the shard
+  };
+
+  std::optional<StateId> find_hashed(const std::uint64_t* words, std::uint64_t hash) const;
+  void place(std::uint64_t hash, StateId id);
+
   KeyCodec codec_;
-  Map map_;
+  std::size_t kw_ = 0;
+  std::size_t size_ = 0;
+  std::vector<std::uint64_t> keys_;  // id -> key_words() words
+  std::vector<Shard> shards_;
 };
 
 }  // namespace gdp::mdp

@@ -1,5 +1,7 @@
 #include "gdp/mdp/level_explore.hpp"
 
+#include <array>
+
 #include "gdp/common/check.hpp"
 #include "gdp/common/pool.hpp"
 #include "gdp/obs/obs.hpp"
@@ -11,17 +13,57 @@ namespace gdp::mdp::detail {
 
 namespace {
 
+/// Levels with fewer successors than this run their intern phases inline:
+/// the pool spawns fresh OS threads on every call (~100 µs each), which a
+/// small level cannot amortize. Ids never depend on it — only where the
+/// phases run.
+constexpr std::size_t kParallelInternMin = 65'536;
+
+/// Parallel intern phases split a level's states into at most this many
+/// contiguous blocks (the counting sort's histograms, the prefix scan).
+constexpr std::size_t kMaxBlocks = 256;
+
+constexpr std::size_t kShards = StateIndex::kShards;
+constexpr std::uint32_t kPendingTag = StateIndex::kPendingTag;
+
 /// One state's expansion, recorded by the parallel phase of a level.
 /// Successor keys are flat key_words()-stride word runs, not PackedKeys, so
 /// a worker's output is a handful of contiguous vectors.
 struct Expansion {
   std::vector<std::uint64_t> succ_words;   // key_words() words per successor
+  std::vector<std::uint64_t> succ_hashes;  // hash_key_words per successor
   std::vector<std::uint64_t> succ_eaters;  // eater mask per successor
   std::vector<float> probs;                // probability per successor
   std::vector<std::uint32_t> row_ends;     // per philosopher, end in probs
+
+  void clear() {
+    succ_words.clear();
+    succ_hashes.clear();
+    succ_eaters.clear();
+    probs.clear();
+    row_ends.clear();
+  }
+};
+
+/// A level position bucketed into its hash shard.
+struct ShardEntry {
+  std::uint64_t hash;
+  std::uint32_t pos;
 };
 
 }  // namespace
+
+/// Per-level working storage, kept across the levels of one run() so the
+/// buffers are allocated once at the widest level's size.
+struct LevelScratch {
+  std::vector<Expansion> level;            // per state of the level
+  std::vector<std::size_t> first_pos;      // per state: its first level position
+  std::vector<std::uint64_t> level_keys;   // successor keys in position order
+  std::vector<ShardEntry> order;           // positions by shard, ascending in each
+  std::vector<std::uint32_t> resolved;     // position -> id or kPendingTag | position
+  std::vector<std::size_t> cursors;        // (block, shard) counts, then scatter cursors
+  std::vector<std::size_t> block_ids;      // per block: first new id it assigns
+};
 
 LevelExplorer::LevelExplorer(const algos::Algorithm& algo, const graph::Topology& t)
     : algo_(algo), topology_(t) {
@@ -33,18 +75,11 @@ LevelExplorer::LevelExplorer(const algos::Algorithm& algo, const graph::Topology
                                      "eater/target masks are 64-bit), got "
                                          << t.num_phils());
   codec_ = KeyCodec(algo, t);
-  index_.reset(codec_);
   const sim::SimState initial = algo.initial_state(t);
-  intern(codec_.encode(initial), sim::eater_mask(initial));
-}
-
-StateId LevelExplorer::intern(const PackedKey& key, std::uint64_t eater_bits) {
-  const auto [it, inserted] = index_.try_emplace(key, static_cast<StateId>(keys_.size()));
-  if (inserted) {
-    keys_.push_back(key);
-    eaters_.push_back(eater_bits);
-  }
-  return it->second;
+  const PackedKey key = codec_.encode(initial);
+  index_.restore(codec_, std::vector<std::uint64_t>(key.data(), key.data() + key.words()));
+  eaters_.push_back(sim::eater_mask(initial));
+  row_ends_.push_back(0);
 }
 
 void LevelExplorer::run(std::size_t max_states, int threads) {
@@ -64,10 +99,9 @@ void LevelExplorer::run(std::size_t max_states, int threads) {
   static obs::Gauge& intern_bytes = obs::Registry::global().gauge("explore.intern_bytes_peak");
   obs::TimedSpan run_span("explore.run");
 
-  std::vector<Expansion> level;
-  PackedKey scratch;
-  while (num_expanded_ < keys_.size()) {
-    if (keys_.size() >= max_states) {
+  LevelScratch scratch;
+  while (num_expanded_ < index_.size()) {
+    if (index_.size() >= max_states) {
       // Cap reached at a level boundary: stop before the next level. Every
       // state is either fully expanded or untouched frontier, so the capped
       // model is a pure function of (algorithm, topology, max_states).
@@ -76,45 +110,39 @@ void LevelExplorer::run(std::size_t max_states, int threads) {
       break;
     }
     const std::size_t begin = num_expanded_;
-    const std::size_t count = keys_.size() - begin;
+    const std::size_t count = index_.size() - begin;
     const std::size_t level_edges_before = outcomes_.size();
     obs::TimedSpan level_span("explore.level");
 
     // Parallel phase: expand each state of the level into its own buffer.
     // Workers read shared immutable state and write only their task's slot.
-    level.assign(count, Expansion{});
-    common::parallel_for(count, threads, [&](std::uint32_t i) {
-      const sim::SimState state = codec_.decode(keys_[begin + i]);
-      Expansion& e = level[i];
-      e.row_ends.reserve(static_cast<std::size_t>(n));
-      PackedKey key;
-      for (PhilId p = 0; p < n; ++p) {
-        const std::vector<sim::Branch> branches = algo_.step(topology_, state, p);
-        for (const sim::Branch& b : branches) {
-          codec_.encode(b.next, key);
-          const std::uint64_t* w = key.data();
-          e.succ_words.insert(e.succ_words.end(), w, w + kw);
-          e.succ_eaters.push_back(sim::eater_mask(b.next));
-          e.probs.push_back(static_cast<float>(b.prob));
+    if (scratch.level.size() < count) scratch.level.resize(count);
+    {
+      obs::TimedSpan expand_span("explore.expand");
+      common::parallel_for(count, threads, [&](std::uint32_t i) {
+        const sim::SimState state = codec_.decode(index_.key(static_cast<StateId>(begin + i)));
+        Expansion& e = scratch.level[i];
+        e.clear();
+        PackedKey key;
+        for (PhilId p = 0; p < n; ++p) {
+          const std::vector<sim::Branch> branches = algo_.step(topology_, state, p);
+          for (const sim::Branch& b : branches) {
+            codec_.encode(b.next, key);
+            const std::uint64_t* w = key.data();
+            e.succ_words.insert(e.succ_words.end(), w, w + kw);
+            e.succ_hashes.push_back(hash_key_words(w, kw));
+            e.succ_eaters.push_back(sim::eater_mask(b.next));
+            e.probs.push_back(static_cast<float>(b.prob));
+          }
+          e.row_ends.push_back(static_cast<std::uint32_t>(e.probs.size()));
         }
-        e.row_ends.push_back(static_cast<std::uint32_t>(e.probs.size()));
-      }
-    });
-
-    // Sequential epilogue: intern successors and materialize rows in
-    // (state, philosopher, branch) order — the id assignment is the FIFO
-    // BFS order, unchanged from the historical sequential explorer.
-    for (std::size_t i = 0; i < count; ++i) {
-      const Expansion& e = level[i];
-      std::size_t j = 0;
-      for (std::size_t p = 0; p < e.row_ends.size(); ++p) {
-        for (; j < e.row_ends[p]; ++j) {
-          scratch.assign(e.succ_words.data() + j * kw, kw);
-          outcomes_.push_back(Outcome{e.probs[j], intern(scratch, e.succ_eaters[j])});
-        }
-        row_ends_.push_back(outcomes_.size());
-      }
+      });
     }
+    {
+      obs::TimedSpan intern_span("explore.intern");
+      intern_level(scratch, begin, count, threads);
+    }
+
     levels_ctr.increment();
     // Per-level deltas (not one end-of-run add) so a GDP_OBS_PROGRESS
     // heartbeat sees totals grow level by level. The deltas sum to the same
@@ -127,34 +155,172 @@ void LevelExplorer::run(std::size_t max_states, int threads) {
     obs::timeline::counter_sample("explore.edges", static_cast<double>(outcomes_.size()));
   }
 
-  // Interner footprint: id-ordered keys plus the hash index over them.
-  intern_bytes.set_max(keys_.size() * kw * sizeof(std::uint64_t) * 2);
+  // Interner footprint: the flat keys plus the shard slots over them. Both
+  // are functions of the level structure alone, so the gauge stays on the
+  // deterministic plane.
+  intern_bytes.set_max(index_.key_bytes() + index_.slot_bytes());
 }
 
-Model LevelExplorer::take_model(StateIndex* index_out, std::vector<PackedKey>* keys_out) {
+void LevelExplorer::intern_level(LevelScratch& sc, std::size_t begin, std::size_t count,
+                                 int threads) {
   const std::size_t n = static_cast<std::size_t>(topology_.num_phils());
-  const std::size_t total = keys_.size();
+  const std::size_t kw = codec_.key_words();
+
+  // Level positions: successor j of the level's state i sits at
+  // first_pos[i] + j — its index in the (state, philosopher, branch) order
+  // the outcome rows store successors in.
+  sc.first_pos.resize(count + 1);
+  sc.first_pos[0] = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    sc.first_pos[i + 1] = sc.first_pos[i] + sc.level[i].probs.size();
+  }
+  const std::size_t total = sc.first_pos[count];
+  GDP_CHECK_MSG(total < kPendingTag,
+                "explore: a level with " << total << " successors exceeds the 2^31 position range");
+  const int t = total < kParallelInternMin ? 1 : threads;
+
+  // Contiguous state blocks (one when inline); ids never depend on the
+  // split.
+  const std::size_t blocks = t == 1 ? 1 : std::min(count, kMaxBlocks);
+  const auto block_begin = [&](std::size_t b) { return count * b / blocks; };
+
+  // Gather the successor keys into position order and histogram each
+  // block's successors by shard.
+  sc.level_keys.resize(total * kw);
+  sc.cursors.assign(blocks * kShards, 0);
+  common::parallel_for(blocks, t, [&](std::uint32_t b) {
+    std::size_t* hist = sc.cursors.data() + b * kShards;
+    for (std::size_t i = block_begin(b); i < block_begin(b + 1); ++i) {
+      const Expansion& e = sc.level[i];
+      std::copy(e.succ_words.begin(), e.succ_words.end(),
+                sc.level_keys.begin() + static_cast<std::ptrdiff_t>(sc.first_pos[i] * kw));
+      for (const std::uint64_t h : e.succ_hashes) ++hist[StateIndex::shard_of(h)];
+    }
+  });
+
+  // Stable counting sort: shard-major, block-minor exclusive scan turns the
+  // histograms into scatter cursors, so each shard lists its positions in
+  // ascending order.
+  std::array<std::size_t, kShards + 1> shard_begin{};
+  std::size_t acc = 0;
+  for (std::size_t s = 0; s < kShards; ++s) {
+    shard_begin[s] = acc;
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::size_t c = sc.cursors[b * kShards + s];
+      sc.cursors[b * kShards + s] = acc;
+      acc += c;
+    }
+  }
+  shard_begin[kShards] = acc;
+  sc.order.resize(total);
+  common::parallel_for(blocks, t, [&](std::uint32_t b) {
+    std::size_t* cursor = sc.cursors.data() + b * kShards;
+    for (std::size_t i = block_begin(b); i < block_begin(b + 1); ++i) {
+      const Expansion& e = sc.level[i];
+      for (std::size_t j = 0; j < e.succ_hashes.size(); ++j) {
+        const std::uint64_t h = e.succ_hashes[j];
+        sc.order[cursor[StateIndex::shard_of(h)]++] =
+            ShardEntry{h, static_cast<std::uint32_t>(sc.first_pos[i] + j)};
+      }
+    }
+  });
+
+  // Shards resolve in parallel, each in ascending position order: an
+  // existing id, or the pending tag of the key's first occurrence. Each
+  // shard first grows so its load stays at most 1/2 through the pass.
+  sc.resolved.resize(total);
+  common::parallel_for(kShards, t, [&](std::uint32_t s) {
+    index_.grow_shard(s, shard_begin[s + 1] - shard_begin[s]);
+    for (std::size_t k = shard_begin[s]; k < shard_begin[s + 1]; ++k) {
+      const ShardEntry& entry = sc.order[k];
+      sc.resolved[entry.pos] = index_.find_or_claim(entry.hash, sc.level_keys.data(), entry.pos);
+    }
+  });
+
+  // Prefix scan over the first occurrences (resolved to their own tag):
+  // new states are numbered in position order — the sequential FIFO ids.
+  const auto is_first = [&](std::size_t pos) {
+    return sc.resolved[pos] == (kPendingTag | static_cast<std::uint32_t>(pos));
+  };
+  sc.block_ids.assign(blocks + 1, 0);
+  common::parallel_for(blocks, t, [&](std::uint32_t b) {
+    std::size_t firsts = 0;
+    for (std::size_t pos = sc.first_pos[block_begin(b)]; pos < sc.first_pos[block_begin(b + 1)];
+         ++pos) {
+      firsts += is_first(pos) ? 1 : 0;
+    }
+    sc.block_ids[b + 1] = firsts;
+  });
+  const std::size_t first_new = index_.size();
+  sc.block_ids[0] = first_new;
+  for (std::size_t b = 0; b < blocks; ++b) sc.block_ids[b + 1] += sc.block_ids[b];
+  const std::size_t num_new = sc.block_ids[blocks] - first_new;
+
+  std::uint64_t* new_keys = index_.append(num_new);
+  eaters_.resize(first_new + num_new);
+  const std::size_t out_base = outcomes_.size();
+  outcomes_.resize(out_base + total);
+  row_ends_.resize(row_ends_.size() + count * n);
+
+  // First occurrences take their ids: resolved[pos] becomes the id, and
+  // the key and eater mask land in the id-ordered arrays.
+  common::parallel_for(blocks, t, [&](std::uint32_t b) {
+    std::size_t id = sc.block_ids[b];
+    for (std::size_t i = block_begin(b); i < block_begin(b + 1); ++i) {
+      const Expansion& e = sc.level[i];
+      for (std::size_t j = 0; j < e.probs.size(); ++j) {
+        const std::size_t pos = sc.first_pos[i] + j;
+        if (!is_first(pos)) continue;
+        sc.resolved[pos] = static_cast<std::uint32_t>(id);
+        std::copy_n(sc.level_keys.begin() + static_cast<std::ptrdiff_t>(pos * kw), kw,
+                    new_keys + (id - first_new) * kw);
+        eaters_[id] = e.succ_eaters[j];
+        ++id;
+      }
+    }
+  });
+
+  // Rows in (state, philosopher, branch) order at their precomputed
+  // ranges, and — in the remaining tasks — every shard's pending slots
+  // settled to the ids just assigned.
+  common::parallel_for(blocks + kShards, t, [&](std::uint32_t task) {
+    if (task >= blocks) {
+      index_.settle_shard(task - blocks, sc.resolved.data());
+      return;
+    }
+    for (std::size_t i = block_begin(task); i < block_begin(task + 1); ++i) {
+      const Expansion& e = sc.level[i];
+      const std::size_t row_base = (begin + i) * n + 1;
+      for (std::size_t p = 0; p < n; ++p) {
+        row_ends_[row_base + p] = out_base + sc.first_pos[i] + e.row_ends[p];
+      }
+      for (std::size_t j = 0; j < e.probs.size(); ++j) {
+        const std::size_t pos = sc.first_pos[i] + j;
+        const std::uint32_t r = sc.resolved[pos];
+        const StateId id = (r & kPendingTag) != 0 ? sc.resolved[r & ~kPendingTag] : r;
+        outcomes_[out_base + pos] = Outcome{e.probs[j], id};
+      }
+    }
+  });
+}
+
+Model LevelExplorer::take_model(StateIndex* index_out) {
+  const std::size_t n = static_cast<std::size_t>(topology_.num_phils());
+  const std::size_t total = index_.size();
 
   Model model;
   model.num_phils_ = static_cast<int>(n);
   model.truncated_ = truncated_;
   model.eaters_ = std::move(eaters_);
-  model.outcomes_ = std::move(outcomes_);
   model.frontier_.assign(total, false);
   for (std::size_t s = num_expanded_; s < total; ++s) model.frontier_[s] = true;
-
-  std::vector<std::uint64_t> offsets;
-  offsets.reserve(total * n + 1);
-  offsets.push_back(0);
-  for (std::size_t s = 0; s < total; ++s) {
-    for (std::size_t p = 0; p < n; ++p) {
-      offsets.push_back(s < num_expanded_ ? row_ends_[s * n + p] : offsets.back());
-    }
-  }
-  model.offsets_ = std::move(offsets);
+  // Frontier states have empty rows: their ends all sit at the last end.
+  const std::uint64_t last_end = row_ends_.back();
+  row_ends_.resize(total * n + 1, last_end);
+  model.offsets_ = std::move(row_ends_);
+  model.outcomes_ = std::move(outcomes_);
 
   if (index_out != nullptr) *index_out = std::move(index_);
-  if (keys_out != nullptr) *keys_out = std::move(keys_);
   return model;
 }
 

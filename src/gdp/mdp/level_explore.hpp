@@ -8,12 +8,20 @@
 //
 //   1. Parallel expansion: every state of the level decodes its packed key,
 //      steps the algorithm for each philosopher, and records its successor
-//      keys/eater masks/probabilities in a per-state buffer. Tasks share
-//      nothing writable, so any schedule produces the same buffers.
-//   2. Sequential epilogue: successors intern in (state, philosopher,
-//      branch) order — exactly the FIFO order the historical sequential
-//      explorer assigned ids in, so complete models keep their numbering —
-//      and the CSR rows materialize in the same pass.
+//      keys/hashes/eater masks/probabilities in a per-state buffer (reused
+//      across levels). Tasks share nothing writable, so any schedule
+//      produces the same buffers.
+//   2. Phase-concurrent interning into the StateIndex (key.hpp). Every
+//      successor has a level position in (state, philosopher, branch)
+//      order — its index in the level's outcome rows. A stable counting
+//      sort buckets positions by hash shard; shards resolve in parallel,
+//      each in ascending position order, claiming absent keys as "pending,
+//      first seen at position j"; a prefix scan over the first occurrences
+//      numbers the new states in position order. That is exactly the FIFO
+//      order the historical sequential explorer assigned ids in, so models
+//      keep their numbering at every thread count. Parallel passes then
+//      write the new keys and eater masks, the outcome rows, and settle the
+//      pending slots to their ids.
 //
 // The state cap applies at LEVEL granularity: before expanding a level, if
 // num_states >= max_states the run stops with every state either fully
@@ -29,7 +37,9 @@
 // capped run stopped — the basis of gdp::mdp::store's save/resume contract.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "gdp/algos/algorithm.hpp"
@@ -40,6 +50,8 @@
 
 namespace gdp::mdp::detail {
 
+struct LevelScratch;  // one level's expansion buffers and intern arrays
+
 class LevelExplorer {
  public:
   /// Seeds the exploration at algo.initial_state(t). Requires
@@ -47,10 +59,11 @@ class LevelExplorer {
   /// philosophers (the eater/target masks are one 64-bit word).
   LevelExplorer(const algos::Algorithm& algo, const graph::Topology& t);
 
-  /// Re-seeds from a previously explored model plus its id-ordered packed
-  /// keys (as returned by take_model): the frontier must be a contiguous id
-  /// tail and keys[0] must encode the initial state. run() then continues
-  /// the interrupted run bit-identically.
+  /// Re-seeds from a previously explored model plus its id-ordered flat
+  /// keys (key_words() words per state, as the taken StateIndex holds them):
+  /// the frontier must be a contiguous id tail and state 0's key must encode
+  /// the initial state. run() then continues the interrupted run
+  /// bit-identically.
   ///
   /// Generic over the Model read API (row/eaters/frontier): restoring from
   /// a store::ChunkedModel reads rows chunk by chunk and never needs the
@@ -58,33 +71,37 @@ class LevelExplorer {
   /// no-materialize contract. Rows are copied in (state, philosopher)
   /// ascending order, which reproduces the contiguous CSR byte for byte.
   template <class ModelT>
-  void restore(const ModelT& model, std::vector<PackedKey> keys) {
+  void restore(const ModelT& model, std::vector<std::uint64_t> keys) {
     GDP_CHECK_MSG(model.num_phils() == topology_.num_phils(),
                   "restore: model has " << model.num_phils() << " philosophers, topology has "
                                         << topology_.num_phils());
-    GDP_CHECK_MSG(keys.size() == model.num_states(),
-                  "restore: " << keys.size() << " keys for " << model.num_states() << " states");
-    GDP_CHECK_MSG(!keys.empty() && keys[0] == codec_.encode(algo_.initial_state(topology_)),
+    const std::size_t kw = codec_.key_words();
+    const std::size_t states = model.num_states();
+    GDP_CHECK_MSG(states > 0 && keys.size() == states * kw,
+                  "restore: " << keys.size() << " key words for " << states << " states of "
+                              << kw << " words");
+    const PackedKey initial = codec_.encode(algo_.initial_state(topology_));
+    GDP_CHECK_MSG(std::equal(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(kw),
+                             initial.data()),
                   "restore: state 0 is not this (algorithm, topology)'s initial state");
 
     // The level-synchronous invariant: expanded states are an id prefix,
     // frontier states the tail. Anything else is not a checkpoint this
     // explorer produced.
     std::size_t expanded = 0;
-    while (expanded < keys.size() && !model.frontier(static_cast<StateId>(expanded))) ++expanded;
-    for (std::size_t s = expanded; s < keys.size(); ++s) {
+    while (expanded < states && !model.frontier(static_cast<StateId>(expanded))) ++expanded;
+    for (std::size_t s = expanded; s < states; ++s) {
       GDP_CHECK_MSG(model.frontier(static_cast<StateId>(s)),
                     "restore: expanded state " << s << " follows a frontier state — the model is "
                                                   "not a level-synchronous prefix");
     }
 
     const std::size_t n = static_cast<std::size_t>(model.num_phils());
-    keys_ = std::move(keys);
-    eaters_.resize(keys_.size());
-    for (std::size_t s = 0; s < keys_.size(); ++s) eaters_[s] = model.eaters(static_cast<StateId>(s));
+    eaters_.resize(states);
+    for (std::size_t s = 0; s < states; ++s) eaters_[s] = model.eaters(static_cast<StateId>(s));
     outcomes_.clear();
-    row_ends_.clear();
-    row_ends_.reserve(expanded * n);
+    row_ends_.assign(1, 0);
+    row_ends_.reserve(expanded * n + 1);
     for (std::size_t s = 0; s < expanded; ++s) {
       for (std::size_t p = 0; p < n; ++p) {
         const auto [begin, end] = model.row(static_cast<StateId>(s), static_cast<int>(p));
@@ -94,37 +111,28 @@ class LevelExplorer {
     }
     num_expanded_ = expanded;
     truncated_ = false;
-
-    index_.reset(codec_);
-    index_.reserve(keys_.size());
-    for (std::size_t s = 0; s < keys_.size(); ++s) {
-      const auto [it, inserted] = index_.try_emplace(keys_[s], static_cast<StateId>(s));
-      GDP_CHECK_MSG(inserted, "restore: duplicate key at state " << s);
-    }
+    index_.restore(codec_, std::move(keys));  // throws on a duplicate key
   }
 
-  /// Level-synchronous BFS until the space is exhausted or num_states() >=
+  /// Level-synchronous BFS until the space is exhausted or the state count >=
   /// max_states at a level boundary (the model is then truncated).
   void run(std::size_t max_states, int threads);
 
-  const KeyCodec& codec() const { return codec_; }
-  std::size_t num_states() const { return keys_.size(); }
-
   /// Consumes the explorer into the canonical CSR Model (leading zero
-  /// offset, empty rows for frontier states). Optionally also yields the
-  /// key -> id index and the id-ordered keys.
-  Model take_model(StateIndex* index_out = nullptr, std::vector<PackedKey>* keys_out = nullptr);
+  /// offset, empty rows for frontier states). Optionally also hands over
+  /// the state table (key <-> id).
+  Model take_model(StateIndex* index_out = nullptr);
 
  private:
-  StateId intern(const PackedKey& key, std::uint64_t eater_bits);
+  void intern_level(LevelScratch& scratch, std::size_t begin, std::size_t count, int threads);
 
   const algos::Algorithm& algo_;
   const graph::Topology& topology_;
   KeyCodec codec_;
-  StateIndex index_;
-  std::vector<PackedKey> keys_;          // id -> packed key
+  StateIndex index_;                     // id <-> packed key
   std::vector<std::uint64_t> eaters_;    // id -> eater mask
-  std::vector<std::uint64_t> row_ends_;  // (expanded id, phil) -> end in outcomes_
+  std::vector<std::uint64_t> row_ends_;  // Model offsets of the expanded prefix: 0, then
+                                         // (expanded id, phil) -> end in outcomes_
   std::vector<Outcome> outcomes_;
   std::size_t num_expanded_ = 0;  // expanded states are the id prefix [0, num_expanded_)
   bool truncated_ = false;

@@ -100,8 +100,9 @@ struct CheckOptions {
 
 /// Level-synchronous breadth-first exploration from the algorithm's initial
 /// state (all philosophers thinking). Each level expands on the shared pool
-/// (gdp/common/pool.hpp) and interns in a sequential in-order epilogue, so
-/// the model is bit-identical at every thread count. The `max_states` cap
+/// (gdp/common/pool.hpp) and interns phase-concurrently with ids numbered in
+/// (state, philosopher, branch) order, so the model is bit-identical at every
+/// thread count. The `max_states` cap
 /// applies at level boundaries: a run never stops mid-level, so a capped
 /// model is a pure function of (algorithm, topology, max_states) and its
 /// unexpanded frontier states (flagged on the model) are always the id tail,

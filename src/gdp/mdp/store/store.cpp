@@ -308,12 +308,14 @@ std::size_t Residency::peak_bytes() const {
 // ---------------------------------------------------------------------------
 
 ChunkedModel ChunkedModel::from_model(const Model& model, const KeyCodec& codec,
-                                      const std::vector<PackedKey>& keys, StoreOptions options) {
+                                      std::span<const std::uint64_t> keys,
+                                      StoreOptions options) {
   GDP_CHECK_MSG(options.chunk_states > 0, "store: chunk_states must be positive");
   GDP_CHECK_MSG(codec.valid() && codec.num_phils() == model.num_phils(),
                 "store: codec does not match the model");
-  GDP_CHECK_MSG(keys.size() == model.num_states(),
-                "store: " << keys.size() << " keys for " << model.num_states() << " states");
+  GDP_CHECK_MSG(keys.size() == model.num_states() * codec.key_words(),
+                "store: " << keys.size() << " key words for " << model.num_states()
+                          << " states of " << codec.key_words() << " words");
 
   // The store's resume contract needs the level-synchronous invariant:
   // expanded states are an id prefix, frontier states the tail.
@@ -391,12 +393,8 @@ ChunkedModel ChunkedModel::from_model(const Model& model, const KeyCodec& codec,
     }
     payload.insert(payload.end(), frontier_words.begin(), frontier_words.end());
 
-    for (std::size_t s = first; s < first + count; ++s) {
-      GDP_CHECK_MSG(keys[s].words() == kw,
-                    "store: key " << s << " has " << keys[s].words() << " words, layout has " << kw);
-      const std::uint64_t* w = keys[s].data();
-      payload.insert(payload.end(), w, w + kw);
-    }
+    const auto key_run = keys.subspan(first * kw, count * kw);
+    payload.insert(payload.end(), key_run.begin(), key_run.end());
 
     StoreCounters::get().chunks_written.increment();
     StoreCounters::get().chunk_bytes.add(payload.size() * sizeof(std::uint64_t));
@@ -417,10 +415,14 @@ PackedKey ChunkedModel::key(StateId s) const {
   return key;
 }
 
-std::vector<PackedKey> ChunkedModel::keys() const {
-  std::vector<PackedKey> out;
-  out.reserve(num_states_);
-  for (std::size_t s = 0; s < num_states_; ++s) out.push_back(key(static_cast<StateId>(s)));
+std::vector<std::uint64_t> ChunkedModel::flat_keys() const {
+  const std::size_t kw = codec_.key_words();
+  std::vector<std::uint64_t> out;
+  out.reserve(num_states_ * kw);
+  for (std::size_t s = 0; s < num_states_; ++s) {
+    const std::uint64_t* w = chunk_of(static_cast<StateId>(s)).key_run(local_of(static_cast<StateId>(s)));
+    out.insert(out.end(), w, w + kw);
+  }
   return out;
 }
 
@@ -635,10 +637,10 @@ ChunkedModel explore(const algos::Algorithm& algo, const graph::Topology& t,
                      StoreOptions store_options, CheckOptions options) {
   mdp::detail::LevelExplorer explorer(algo, t);
   explorer.run(options.max_states, options.threads);
-  const KeyCodec codec = explorer.codec();
-  std::vector<PackedKey> keys;
-  const Model model = explorer.take_model(nullptr, &keys);
-  return ChunkedModel::from_model(model, codec, keys, std::move(store_options));
+  StateIndex index;
+  const Model model = explorer.take_model(&index);
+  return ChunkedModel::from_model(model, index.codec(), index.flat_keys(),
+                                  std::move(store_options));
 }
 
 ChunkedModel resume(const algos::Algorithm& algo, const graph::Topology& t,
@@ -649,12 +651,12 @@ ChunkedModel resume(const algos::Algorithm& algo, const graph::Topology& t,
   // eater masks, frontier bits, and rows through the read API — the
   // checkpoint is never materialized ("store.materializations" stays 0,
   // pinned by `ctest -L store`).
-  explorer.restore(checkpoint, checkpoint.keys());
+  explorer.restore(checkpoint, checkpoint.flat_keys());
   explorer.run(options.max_states, options.threads);
-  const KeyCodec codec = explorer.codec();
-  std::vector<PackedKey> keys;
-  const Model model = explorer.take_model(nullptr, &keys);
-  return ChunkedModel::from_model(model, codec, keys, std::move(store_options));
+  StateIndex index;
+  const Model model = explorer.take_model(&index);
+  return ChunkedModel::from_model(model, index.codec(), index.flat_keys(),
+                                  std::move(store_options));
 }
 
 // Chunk-native instantiations of the shared kernel templates (see the

@@ -47,6 +47,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -224,12 +225,13 @@ class ChunkedModel {
   ChunkedModel(ChunkedModel&&) = default;
   ChunkedModel& operator=(ChunkedModel&&) = default;
 
-  /// Chunks `model`. `keys` are the model's id-ordered packed keys and
-  /// `codec` the layout that produced them (both from the explorer).
+  /// Chunks `model`. `keys` are the model's id-ordered packed keys as one
+  /// flat run of codec.key_words() words per state, and `codec` the layout
+  /// that produced them (both from the explorer's StateIndex).
   /// Frontier states must be a contiguous id tail (the level-synchronous
   /// explorers guarantee it); spills immediately when options.spill.
   static ChunkedModel from_model(const Model& model, const KeyCodec& codec,
-                                 const std::vector<PackedKey>& keys, StoreOptions options = {});
+                                 std::span<const std::uint64_t> keys, StoreOptions options = {});
 
   // --- the Model read API ---
   int num_phils() const { return num_phils_; }
@@ -250,8 +252,9 @@ class ChunkedModel {
   // --- store-specific surface ---
   const KeyCodec& codec() const { return codec_; }
   PackedKey key(StateId s) const;
-  /// Id-ordered copies of every state key (the resume path's seed).
-  std::vector<PackedKey> keys() const;
+  /// Every state key, id-ordered, as one flat run of codec().key_words()
+  /// words per state (the resume path's seed).
+  std::vector<std::uint64_t> flat_keys() const;
 
   std::size_t num_chunks() const { return chunks_.size(); }
   std::size_t chunk_states() const { return chunk_states_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "gdp/common/check.hpp"
 
@@ -69,13 +70,13 @@ bool WitnessScheduler::usable_inside(StateId s, int phil) const {
 PhilId WitnessScheduler::pick(const graph::Topology& t, const sim::SimState& state,
                               const sim::RunView& view, rng::RandomSource& rng) {
   index_.codec().encode(state, key_);
-  const auto it = index_.find(key_);
-  if (it == index_.end()) {
+  const std::optional<StateId> found = index_.find(key_);
+  if (!found) {
     // Outside the explored model (possible on truncated explorations):
     // behave as a benign uniform scheduler.
     return rng.uniform_int(0, t.num_phils() - 1);
   }
-  const StateId s = it->second;
+  const StateId s = *found;
 
   if (in_component(s)) {
     entered_ = true;

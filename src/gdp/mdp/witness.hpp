@@ -26,9 +26,9 @@
 
 namespace gdp::mdp {
 
-/// explore() variant that also returns the packed-key -> id map (plus the
-/// codec that produced the keys, see gdp/mdp/key.hpp), so live simulator
-/// configurations can be located inside the model.
+/// explore() variant that also returns the state table — packed keys <-> ids
+/// plus the codec that produced the keys, see gdp/mdp/key.hpp — so live
+/// simulator configurations can be located inside the model.
 Model explore_indexed(const algos::Algorithm& algo, const graph::Topology& t,
                       StateIndex& index_out, CheckOptions options = {});
 

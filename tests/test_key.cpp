@@ -7,6 +7,7 @@
 
 #include <bit>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -327,6 +328,82 @@ TEST(PackedKey, ValueSemanticsAcrossTheHeapBoundary) {
   EXPECT_TRUE(k == small);
   k = big;
   EXPECT_TRUE(k == big);
+}
+
+// --- StateIndex: the explorers' flat-keys, sharded-slots state table. ---
+
+/// A StateIndex over `states` in the given order (ids 0, 1, ...), built
+/// through restore() from their flat keys.
+StateIndex index_of(const KeyCodec& codec, const std::vector<sim::SimState>& states) {
+  std::vector<std::uint64_t> flat;
+  for (const sim::SimState& state : states) {
+    const PackedKey key = codec.encode(state);
+    flat.insert(flat.end(), key.data(), key.data() + key.words());
+  }
+  StateIndex index;
+  index.restore(codec, std::move(flat));
+  return index;
+}
+
+TEST(StateIndex, FindsEveryStoredKeyAndNoAbsentOne) {
+  const auto t = graph::classic_ring(3);
+  const auto algo = algos::make_algorithm("gdp2");
+  const KeyCodec codec(*algo, t);
+  const auto states = reachable_sample(*algo, t, 7'000);
+  ASSERT_GT(states.size(), 20u);
+  const std::vector<sim::SimState> stored(states.begin(), states.end() - 1);
+  const StateIndex index = index_of(codec, stored);
+  ASSERT_EQ(index.size(), stored.size());
+  EXPECT_EQ(index.key_bytes(), stored.size() * codec.key_bytes());
+  EXPECT_GT(index.slot_bytes(), 0u);
+
+  for (std::size_t id = 0; id < stored.size(); ++id) {
+    EXPECT_EQ(index.count(stored[id]), 1u);
+    const std::optional<StateId> found = index.find(stored[id]);
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(*found, id);
+  }
+  // Absent: the held-back state, a key of the wrong width, an empty index.
+  const sim::SimState& absent = states.back();
+  EXPECT_EQ(index.count(absent), 0u);
+  EXPECT_FALSE(index.find(absent).has_value());
+  EXPECT_FALSE(index.find(PackedKey(codec.key_words() + 1)).has_value());
+  StateIndex empty;
+  empty.reset(codec);
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.count(stored.front()), 0u);
+}
+
+TEST(StateIndex, IteratesInIdOrder) {
+  const auto t = graph::parallel_arcs(3);
+  const auto algo = algos::make_algorithm("lr2");
+  const KeyCodec codec(*algo, t);
+  const auto states = reachable_sample(*algo, t, 8'000);
+  const StateIndex index = index_of(codec, states);
+  StateId expected = 0;
+  for (const auto& [key, id] : index) {
+    ASSERT_EQ(id, expected);
+    EXPECT_TRUE(key == codec.encode(states[id]));
+    EXPECT_EQ(codec.decode(index.key(id)), states[id]);
+    ++expected;
+  }
+  EXPECT_EQ(expected, states.size());
+}
+
+TEST(StateIndex, RestoreRefusesDuplicateKeys) {
+  const auto t = graph::classic_ring(3);
+  const auto algo = algos::make_algorithm("lr1");
+  const KeyCodec codec(*algo, t);
+  auto states = reachable_sample(*algo, t, 9'000);
+  ASSERT_GT(states.size(), 3u);
+  states.push_back(states[2]);
+  EXPECT_THROW(index_of(codec, states), PreconditionError);
+  // A word count that is not whole keys is refused too.
+  const KeyCodec wide(*algos::make_algorithm("gdp2"), graph::star(4));
+  ASSERT_GT(wide.key_words(), 1u);
+  StateIndex index;
+  EXPECT_THROW(index.restore(wide, std::vector<std::uint64_t>(wide.key_words() + 1, 0)),
+               PreconditionError);
 }
 
 }  // namespace

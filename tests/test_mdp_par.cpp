@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,12 +56,11 @@ void expect_models_bit_identical(const Model& ref, const Model& model, int threa
 
 void expect_indexes_equal(const StateIndex& ref, const StateIndex& index) {
   ASSERT_EQ(ref.size(), index.size());
-  // gdp-lint: allow(unordered-iteration) — pure membership check; every key is
-  // looked up independently, no result bit depends on hash order
+  ASSERT_EQ(ref.flat_keys(), index.flat_keys());
   for (const auto& [key, id] : ref) {
-    const auto it = index.find(key);
-    ASSERT_NE(it, index.end());
-    EXPECT_EQ(it->second, id);
+    const std::optional<StateId> found = index.find(key);
+    ASSERT_TRUE(found.has_value()) << "state " << id;
+    EXPECT_EQ(*found, id);
   }
 }
 

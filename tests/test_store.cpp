@@ -214,7 +214,7 @@ TEST(Store, FingerprintIsChunkingIndependent) {
     // expectations use whatever size actually applied.
     const StoreOptions options = suite_options(scratch, chunk_states);
     const ChunkedModel rechunked =
-        ChunkedModel::from_model(model, base.codec(), base.keys(), options);
+        ChunkedModel::from_model(model, base.codec(), base.flat_keys(), options);
     EXPECT_EQ(rechunked.num_chunks(),
               (model.num_states() + options.chunk_states - 1) / options.chunk_states);
     if (fp == 0) fp = rechunked.fingerprint();
@@ -242,8 +242,8 @@ TEST(Store, SpillPreservesEveryObservation) {
   // the chunk files — and nothing observable changes.
   StoreOptions spill_opts = resident_opts;
   spill_opts.dir = scratch.dir();
-  ChunkedModel spilled = ChunkedModel::from_model(model, chunked.codec(), chunked.keys(),
-                                                  spill_opts);
+  ChunkedModel spilled = ChunkedModel::from_model(model, chunked.codec(),
+                                                  chunked.flat_keys(), spill_opts);
   spilled.spill();
   EXPECT_EQ(spilled.resident_bytes(), 0u);
   EXPECT_GT(spilled.spilled_bytes(), 0u);
@@ -254,10 +254,14 @@ TEST(Store, SpillPreservesEveryObservation) {
   expect_matches_model(spilled, model);
 
   // Keys survive the spill too (the resume path reads them from chunks).
-  const std::vector<PackedKey> keys = spilled.keys();
-  ASSERT_EQ(keys.size(), model.num_states());
+  const std::vector<std::uint64_t> keys = spilled.flat_keys();
+  const std::size_t kw = spilled.codec().key_words();
+  ASSERT_EQ(keys.size(), model.num_states() * kw);
+  ASSERT_EQ(keys, chunked.flat_keys());
   for (StateId s = 0; s < model.num_states(); ++s) {
-    ASSERT_EQ(spilled.key(s), keys[s]) << "state " << s;
+    PackedKey key;
+    key.assign(keys.data() + s * kw, kw);
+    ASSERT_EQ(spilled.key(s), key) << "state " << s;
   }
 }
 

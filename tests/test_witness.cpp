@@ -114,10 +114,10 @@ TEST(Witness, ExplorerIndexRoundTrips) {
   EXPECT_EQ(index.size(), model.num_states());
   // The initial state's packed encoding maps to id 0, and the stored key
   // decodes back to the initial configuration.
-  const auto it = index.find(lr1->initial_state(t));
-  ASSERT_NE(it, index.end());
-  EXPECT_EQ(it->second, model.initial());
-  EXPECT_EQ(index.codec().decode(it->first), lr1->initial_state(t));
+  const auto id = index.find(lr1->initial_state(t));
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(*id, model.initial());
+  EXPECT_EQ(index.codec().decode(index.key(*id)), lr1->initial_state(t));
 }
 
 TEST(Witness, RejectsEmptyComponent) {

@@ -31,7 +31,7 @@ src/ tests/ bench/ examples/ by the `static-analysis` CI job and
                       ::now() are the wall-clock rule's findings, not this
                       rule's.
   unordered-iteration No range-for over an unordered_map/unordered_set
-                      (or StateIndex, which wraps one) — hash iteration
+                      (or a `using` alias of one) — hash iteration
                       order is libstdc++-version- and pointer-dependent,
                       the classic silent killer of the index-ordered fold
                       contract. Sort into a canonical order first, or
@@ -332,15 +332,13 @@ UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set|multimap|multiset)\s*<")
 ALIAS_RE = re.compile(
     r"\b(?:using\s+(\w+)\s*=\s*[\w:]*unordered_(?:map|set|multimap|multiset)\s*<"
     r"|typedef\s+[\w:]*unordered_(?:map|set|multimap|multiset)\s*<)")
-# Repo-known unordered wrapper types (expose unordered begin()/end()).
-KNOWN_UNORDERED_TYPES = {"StateIndex"}
 RANGE_FOR_RE = re.compile(r"\bfor\s*\(")
 
 
 def unordered_names(code: str) -> set[str]:
     """Identifiers declared in this file with an unordered container type."""
     names: set[str] = set()
-    alias_types = set(KNOWN_UNORDERED_TYPES)
+    alias_types: set[str] = set()
     for m in ALIAS_RE.finditer(code):
         if m.group(1):
             alias_types.add(m.group(1))
