@@ -1,11 +1,13 @@
 // Microbenchmarks (google-benchmark) over the library's hot paths: RNG,
 // a single algorithm step, whole-engine simulation throughput, MDP
-// exploration rate at threads 1 and hw, the pool's per-call cost and the π
-// guarded-choice layer.
+// exploration rate at threads 1 and hw, the pool's per-call and per-index
+// cost and the π guarded-choice layer.
 #include <benchmark/benchmark.h>
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/common/pool.hpp"
@@ -87,6 +89,48 @@ void BM_ParallelForCall(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ParallelForCall)->Unit(benchmark::kMicrosecond)->UseRealTime();
+
+// The pool's per-index cost: one parallel_for over 4M trivial indices.
+// Args: grain (1 claims one index per block, the per-index form's shape;
+// 4,096 claims blocks), threads (0 = hardware concurrency). At threads 1
+// the call runs body(0, total) inline, whatever the grain.
+// BM_SerialIndices is the plain loop over the same body.
+constexpr std::size_t kTrivialIndices = 4'000'000;
+
+void trivial_body(std::vector<std::uint32_t>& sink, std::size_t lo, std::size_t hi) {
+  for (std::size_t i = lo; i < hi; ++i) {
+    sink[i] = sink[i] * 2654435761u + static_cast<std::uint32_t>(i);
+  }
+}
+
+void BM_ParallelForIndices(benchmark::State& state) {
+  const auto grain = static_cast<std::size_t>(state.range(0));
+  const int threads = static_cast<int>(state.range(1));
+  std::vector<std::uint32_t> sink(kTrivialIndices);
+  for (auto _ : state) {
+    common::parallel_for(kTrivialIndices, grain, threads,
+                         [&](std::size_t lo, std::size_t hi) { trivial_body(sink, lo, hi); });
+    benchmark::DoNotOptimize(sink.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kTrivialIndices));
+}
+BENCHMARK(BM_ParallelForIndices)
+    ->ArgNames({"grain", "threads"})
+    ->ArgsProduct({{1, 4'096}, {1, 0}})
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
+
+void BM_SerialIndices(benchmark::State& state) {
+  std::vector<std::uint32_t> sink(kTrivialIndices);
+  for (auto _ : state) {
+    trivial_body(sink, 0, kTrivialIndices);
+    benchmark::DoNotOptimize(sink.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kTrivialIndices));
+}
+BENCHMARK(BM_SerialIndices)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_FairProgressCheck(benchmark::State& state) {
   const auto algo = algos::make_algorithm("lr1");

@@ -2,14 +2,12 @@
 
 #include <algorithm>
 #include <exception>
-#include <limits>
 #include <thread>
 #include <vector>
 
 #include "gdp/common/check.hpp"
 #include "gdp/common/thread_annotations.hpp"
 #include "gdp/obs/obs.hpp"
-#include "gdp/obs/timeline.hpp"
 
 namespace gdp::common {
 
@@ -49,48 +47,52 @@ void run_workers(unsigned threads, const std::function<void(unsigned)>& body) {
   if (first_error) std::rethrow_exception(first_error);
 }
 
-void parallel_for(std::size_t total, int threads, const std::function<void(std::uint32_t)>& fn) {
-  GDP_CHECK_MSG(total < (std::uint64_t{1} << 32), "parallel_for supports < 2^32 tasks, got "
-                                                      << total);
+void parallel_for(std::size_t total, std::size_t grain, int threads,
+                  const std::function<void(std::size_t, std::size_t)>& body) {
+  GDP_CHECK_MSG(grain >= 1, "parallel_for needs grain >= 1");
+  const std::size_t blocks = total / grain + (total % grain != 0 ? 1 : 0);
+  GDP_CHECK_MSG(blocks < (std::uint64_t{1} << 32), "parallel_for supports < 2^32 blocks, got "
+                                                       << blocks);
+  const unsigned n = effective_threads(threads, blocks);
   if (total == 0) return;
-  const unsigned n = effective_threads(threads, total);
-
-  // Timing plane, all three: steals depend on scheduling outright, and the
-  // call/task totals describe how work was *executed*, not what work was
-  // done — seq-vs-par dispatch (parallel_chunk_max) keys on the requested
-  // thread count, so these totals are not thread-count invariant.
-  // References resolved once; the registry never moves them.
-  static obs::Counter& calls =
-      obs::Registry::global().counter("pool.parallel_for_calls", obs::Plane::kTiming);
-  static obs::Counter& tasks = obs::Registry::global().counter("pool.tasks", obs::Plane::kTiming);
-  calls.increment();
-  tasks.add(total);
-
   if (n <= 1) {
-    for (std::uint32_t id = 0; id < total; ++id) fn(id);
+    body(0, total);
     return;
   }
 
-  // Contiguous initial shards; the steal protocol rebalances from there.
+  // Timing plane, all three: steals depend on scheduling outright, and the
+  // call/block totals describe how work was *executed*, not what work was
+  // done — only calls that reach the pool count, and whether one does
+  // depends on the thread count. References resolved once; the registry
+  // never moves them.
+  static obs::Counter& calls =
+      obs::Registry::global().counter("pool.parallel_for_calls", obs::Plane::kTiming);
+  static obs::Counter& tasks = obs::Registry::global().counter("pool.tasks", obs::Plane::kTiming);
+  static obs::Counter& steals =
+      obs::Registry::global().counter("pool.steals", obs::Plane::kTiming);
+  calls.increment();
+  tasks.add(blocks);
+
+  // Contiguous initial shards of blocks; the steal protocol rebalances from
+  // there.
   std::vector<StealRange> shards(n);
   for (unsigned w = 0; w < n; ++w) {
-    shards[w].reset(static_cast<std::uint32_t>(total * w / n),
-                    static_cast<std::uint32_t>(total * (w + 1) / n));
+    shards[w].reset(static_cast<std::uint32_t>(blocks * w / n),
+                    static_cast<std::uint32_t>(blocks * (w + 1) / n));
   }
 
   std::atomic<bool> abort{false};
-  static obs::Counter& steals =
-      obs::Registry::global().counter("pool.steals", obs::Plane::kTiming);
   run_workers(n, [&](unsigned me) {
-    // One timeline slice per worker ("pool.worker" on the worker's own
+    // One span per worker ("pool.worker" on the worker's own timeline
     // track), with a steal instant per successful steal and a running
-    // tasks-run counter sample at each steal and at exit.
-    obs::timeline::ScopedSlice worker_slice("pool.worker");
+    // blocks-run counter sample at each steal and at exit.
+    obs::Span worker_span("pool.worker");
     std::uint64_t ran = 0;
     try {
       while (!abort.load(std::memory_order_relaxed)) {
-        if (const auto id = shards[me].pop_front()) {
-          fn(*id);
+        if (const auto b = shards[me].pop_front()) {
+          const std::size_t lo = std::size_t{*b} * grain;
+          body(lo, std::min(total, lo + grain));
           ++ran;
           continue;
         }
@@ -120,27 +122,6 @@ void parallel_for(std::size_t total, int threads, const std::function<void(std::
     }
     obs::timeline::counter_sample("pool.tasks_run", static_cast<double>(ran));
   });
-}
-
-double parallel_chunk_max(std::size_t total, int threads,
-                          const std::function<double(std::size_t, std::size_t)>& body) {
-  constexpr std::size_t kChunk = 4'096;  // boundaries depend on total only
-  if (total == 0) return -std::numeric_limits<double>::infinity();
-  const std::size_t chunks = (total + kChunk - 1) / kChunk;
-  if (chunks == 1 || effective_threads(threads, chunks) <= 1) {
-    double best = -std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c < chunks; ++c) {
-      best = std::max(best, body(c * kChunk, std::min(total, (c + 1) * kChunk)));
-    }
-    return best;
-  }
-  std::vector<double> partial(chunks, -std::numeric_limits<double>::infinity());
-  parallel_for(chunks, threads, [&](std::uint32_t c) {
-    partial[c] = body(std::size_t{c} * kChunk, std::min(total, (std::size_t{c} + 1) * kChunk));
-  });
-  double best = partial[0];
-  for (std::size_t c = 1; c < chunks; ++c) best = std::max(best, partial[c]);
-  return best;
 }
 
 }  // namespace gdp::common

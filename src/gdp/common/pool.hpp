@@ -6,19 +6,22 @@
 //   * StealRange — a contiguous task range packed into one 64-bit word.
 //     The owner pops from the head, thieves CAS the back half off the
 //     tail; a single CAS keeps both linearizable. This is the entire
-//     queue machinery parallel_for needs, because the workloads using it
-//     (simulation trials, state expansions) are heavyweight relative to
-//     one CAS.
+//     queue machinery parallel_for needs, because its tasks (grain-sized
+//     blocks of indices) are heavyweight relative to one CAS.
 //
-//   * run_workers / parallel_for — spawn-join helpers. parallel_for
-//     executes fn(0..total-1) on a steal-half pool and rethrows the first
-//     worker exception after the pool drains; with one worker it runs
-//     inline on the calling thread, so a threads==1 configuration is
-//     byte-for-byte the sequential execution.
+//   * run_workers / parallel_for — spawn-join helpers. parallel_for is the
+//     one parallel loop: it splits [0, total) into grain-sized blocks,
+//     runs body(lo, hi) per block on a steal-half pool and rethrows the
+//     first worker exception after the pool drains. With one block or one
+//     worker it calls body(0, total) inline on the calling thread, so a
+//     threads==1 configuration is byte-for-byte the sequential execution.
+//     The per-index overload is the grain-1 adapter over the same loop.
 //
 // Nothing here imposes an ordering on task completion: callers that need
-// deterministic output park results at their task index and fold them in
-// index order afterwards (see gdp/exp/runner.cpp, gdp/mdp/level_explore.cpp).
+// deterministic output park results at their block or task index and fold
+// them in index order afterwards (see gdp/exp/runner.cpp,
+// gdp/mdp/level_explore.cpp, the quant residuals in
+// gdp/mdp/quant/quant_impl.hpp).
 //
 // Concurrency discipline: everything in this header is a single atomic word
 // (StealRange's packed range), so there is no capability to annotate — the
@@ -91,23 +94,26 @@ unsigned effective_threads(int requested, std::size_t tasks);
 /// threads <= 1 calls body(0) inline on the calling thread.
 void run_workers(unsigned threads, const std::function<void(unsigned)>& body);
 
-/// Executes fn(id) for every id in [0, total) on a steal-half work-stealing
-/// pool of `threads` workers (see effective_threads for the 0 convention).
-/// Each worker owns a contiguous shard, pops from its front, and when empty
-/// steals the back half of the fullest other shard. An exception in any
-/// task aborts the remaining tasks and is rethrown after the pool drains.
-/// fn must be safe to call concurrently for distinct ids. total < 2^32.
-void parallel_for(std::size_t total, int threads, const std::function<void(std::uint32_t)>& fn);
+/// Runs body(lo, hi) over [0, total) split into blocks of `grain` indices
+/// (the last one shorter): block b covers [b * grain, min(total, (b + 1) *
+/// grain)), so boundaries depend only on total and grain. The blocks run
+/// on a steal-half work-stealing pool of `threads` workers (see
+/// effective_threads for the 0 convention): each worker owns a contiguous
+/// shard of blocks, pops from its front, and when empty steals the back
+/// half of the fullest other shard. With one block or one worker the call
+/// is body(0, total) inline instead. An exception in any block aborts the
+/// remaining blocks and is rethrown after the pool drains. body must be
+/// safe to call concurrently on disjoint ranges. grain >= 1, fewer than
+/// 2^32 blocks.
+void parallel_for(std::size_t total, std::size_t grain, int threads,
+                  const std::function<void(std::size_t, std::size_t)>& body);
 
-/// Deterministic parallel max-reduction over contiguous index chunks:
-/// partitions [0, total) into fixed chunks (boundaries depend only on
-/// `total`, never on the worker count), runs body(lo, hi) per chunk on the
-/// pool, and folds the per-chunk results in ascending chunk order. Because
-/// IEEE max is associative and commutative and the fold order is pinned,
-/// the result is bit-identical at every thread count — the reduction the
-/// quantitative checker's Bellman sweeps use for residuals and interval
-/// widths. Returns -inf for total == 0.
-double parallel_chunk_max(std::size_t total, int threads,
-                          const std::function<double(std::size_t, std::size_t)>& body);
+/// Per-index form: fn(id) for every id in [0, total), one block per index.
+inline void parallel_for(std::size_t total, int threads,
+                         const std::function<void(std::uint32_t)>& fn) {
+  parallel_for(total, 1, threads, [&fn](std::size_t lo, std::size_t hi) {
+    for (std::size_t id = lo; id < hi; ++id) fn(static_cast<std::uint32_t>(id));
+  });
+}
 
 }  // namespace gdp::common

@@ -46,7 +46,7 @@ Runner::Runner(RunnerOptions options) : options_(options) {
 
 CampaignResult Runner::run(const CampaignSpec& spec) const {
   validate(spec);
-  obs::TimedSpan span("exp.campaign");
+  obs::Span span("exp.campaign");
 
   const std::vector<Cell> grid = cells(spec);
   const auto trials = static_cast<std::size_t>(spec.trials);
@@ -83,10 +83,11 @@ CampaignResult Runner::run(const CampaignSpec& spec) const {
   common::parallel_for(total, options_.threads, [&](std::uint32_t id) {
     const std::size_t c = id / trials;
     const int trial = static_cast<int>(id % trials);
-    // One timeline slice per trial on the executing worker's track; a cell
-    // shows up as a run of equal-length slices. The name is a literal (the
-    // ring stores pointers) and the cell id rides along as a counter lane.
-    obs::timeline::ScopedSlice trial_slice("exp.trial");
+    // One span per trial: a slice on the executing worker's timeline track
+    // (a cell shows up as a run of equal-length slices) and the exp.trial
+    // aggregate in the run report. The name is a literal (the ring stores
+    // pointers) and the cell id rides along as a counter lane.
+    obs::Span trial_span("exp.trial");
     obs::timeline::counter_sample("exp.cell", static_cast<double>(c));
     outcomes[id] = execute_trial(spec, plans[c], trial);
   });

@@ -22,7 +22,7 @@
 #include "gdp/common/check.hpp"
 #include "gdp/mdp/end_components.hpp"
 #include "gdp/mdp/model.hpp"
-#include "gdp/obs/timeline.hpp"
+#include "gdp/obs/obs.hpp"
 
 namespace gdp::mdp::detail {
 
@@ -135,7 +135,7 @@ std::vector<EndComponent> maximal_end_components_t(const ModelT& model, std::uin
   // Partition ids and Tarjan indices are int32.
   GDP_CHECK_MSG(n < (std::uint64_t{1} << 31),
                 "MEC decomposition supports < 2^31 states, got " << n);
-  obs::TimedSpan span("mec.decompose");
+  obs::Span span("mec.decompose");
   // Partition id per state; kEcRemoved = outside the candidate set. Start with
   // one partition holding every expanded state where no avoid_set member eats.
   std::vector<std::int32_t> component(n, kEcRemoved);

@@ -97,7 +97,7 @@ void LevelExplorer::run(std::size_t max_states, int threads) {
   static obs::Counter& truncations_ctr = obs::Registry::global().counter("explore.truncations");
   static obs::Histogram& level_states = obs::Registry::global().histogram("explore.level_states");
   static obs::Gauge& intern_bytes = obs::Registry::global().gauge("explore.intern_bytes_peak");
-  obs::TimedSpan run_span("explore.run");
+  obs::Span run_span("explore.run");
 
   LevelScratch scratch;
   while (num_expanded_ < index_.size()) {
@@ -112,13 +112,13 @@ void LevelExplorer::run(std::size_t max_states, int threads) {
     const std::size_t begin = num_expanded_;
     const std::size_t count = index_.size() - begin;
     const std::size_t level_edges_before = outcomes_.size();
-    obs::TimedSpan level_span("explore.level");
+    obs::Span level_span("explore.level");
 
     // Parallel phase: expand each state of the level into its own buffer.
     // Workers read shared immutable state and write only their task's slot.
     if (scratch.level.size() < count) scratch.level.resize(count);
     {
-      obs::TimedSpan expand_span("explore.expand");
+      obs::Span expand_span("explore.expand");
       common::parallel_for(count, threads, [&](std::uint32_t i) {
         const sim::SimState state = codec_.decode(index_.key(static_cast<StateId>(begin + i)));
         Expansion& e = scratch.level[i];
@@ -139,7 +139,7 @@ void LevelExplorer::run(std::size_t max_states, int threads) {
       });
     }
     {
-      obs::TimedSpan intern_span("explore.intern");
+      obs::Span intern_span("explore.intern");
       intern_level(scratch, begin, count, threads);
     }
 

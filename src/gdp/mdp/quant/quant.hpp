@@ -57,11 +57,11 @@
 // [0, 1] (probabilities) / [0, +inf) (times) and certainty is kTruncated.
 //
 // Determinism. Sweeps are Jacobi (read the previous vector, write the
-// next), run as state-range parallel_for chunks on the shared
-// gdp::common::pool with residuals folded by the deterministic
-// parallel_chunk_max reduction, so every interval endpoint is bit-identical
-// at every thread count — the same contract gdp::exp and mdp::explore
-// keep. Domains below seq_sweep_threshold run the sweeps inline.
+// next), run as grain-blocked common::parallel_for loops with residuals
+// parked per block and folded in block order (IEEE max is exact), so every
+// interval endpoint is bit-identical at every thread count — the same
+// contract gdp::exp and mdp::explore keep. Domains below 16,384 elements
+// run their sweeps and reductions inline.
 #pragma once
 
 #include <cstdint>
@@ -115,15 +115,11 @@ struct QuantOptions {
   /// Bellman sweep cap per iteration phase (stall detection usually stops
   /// non-converging phases long before this).
   std::size_t max_iterations = 50'000;
-
-  /// Domains smaller than this run their sweeps inline instead of on the
-  /// pool (spawn/steal costs more than it saves).
-  std::size_t seq_sweep_threshold = 16'384;
 };
 
 /// Per-phase iteration accounting for one analyze() call. Sweep counts are
 /// deterministic (bit-identical at every thread count): each phase stops on
-/// thresholds of residuals computed by the deterministic parallel_chunk_max
+/// thresholds of residuals computed by a deterministic per-block max
 /// reduction. A "stalled" phase ran but ended without certifying — the
 /// width float-locked, frontier mass kept it open, or max_iterations hit.
 /// Exported through the obs registry as quant.sweeps_* / quant.stalled_phases.

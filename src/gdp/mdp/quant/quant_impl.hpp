@@ -37,7 +37,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -59,22 +58,32 @@ inline constexpr std::uint32_t kAbsent = 0xFFFFFFFDu;   // unreachable state (ne
 
 inline bool is_node(std::uint32_t c) { return c < kAbsent; }
 
-/// Runs body(lo, hi) over [0, total): inline when the domain is small or
-/// threads == 1, otherwise in fixed 2048-index chunks on the pool. Chunk
-/// boundaries depend only on total, and every chunk writes disjoint ranges,
-/// so results are identical either way.
-inline void for_range(std::size_t total, int threads, bool parallel,
-                      const std::function<void(std::size_t, std::size_t)>& body) {
-  constexpr std::size_t kChunk = 2'048;
-  if (total == 0) return;
-  if (!parallel || threads == 1 || total < 2 * kChunk) {
-    body(0, total);
-    return;
-  }
-  const std::size_t chunks = (total + kChunk - 1) / kChunk;
-  common::parallel_for(chunks, threads, [&](std::uint32_t c) {
-    body(std::size_t{c} * kChunk, std::min(total, (std::size_t{c} + 1) * kChunk));
+/// Domains below this many elements (quotient nodes, or states for the
+/// state-level passes) run their sweeps and reductions inline: spawning the
+/// pool costs more than it saves there.
+inline constexpr std::size_t kInlineNodes = 16'384;
+
+/// Indices per parallel_for block, for the sweeps and their reductions.
+inline constexpr std::size_t kGrain = 2'048;
+
+/// Worker count for every sweep and reduction of one phase over n elements.
+inline int phase_threads(std::size_t n, const QuantOptions& options) {
+  return n < kInlineNodes ? 1 : options.threads;
+}
+
+/// Deterministic max-reduction over [0, n): body(lo, hi) returns the max of
+/// one block, parked at lo / kGrain; the partials fold in index order once
+/// the pool drains. IEEE max is exact, so the result is bit-identical for
+/// every block size and thread count. -inf when n == 0.
+template <typename Body>
+double block_max(std::size_t n, int threads, const Body& body) {
+  std::vector<double> partial(n / kGrain + 1, -kInf);
+  common::parallel_for(n, kGrain, threads, [&](std::size_t lo, std::size_t hi) {
+    partial[lo / kGrain] = body(lo, hi);
   });
+  double best = -kInf;
+  for (const double p : partial) best = std::max(best, p);
+  return best;
 }
 
 /// The MEC quotient of one fragment of the model (see file comment).
@@ -130,7 +139,7 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
                         bool target_terminal, const QuantOptions& options) {
   const std::size_t n = model.num_states();
   const int phils = model.num_phils();
-  const bool parallel = n >= options.seq_sweep_threshold;
+  const int threads = phase_threads(n, options);
 
   Quotient q;
   q.node_of.assign(n, kAbsent);
@@ -167,7 +176,7 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
 
   // External-action and outcome counts per state (parallel; disjoint writes).
   std::vector<std::uint32_t> act_count(n, 0), out_count(n, 0);
-  for_range(n, options.threads, parallel, [&](std::size_t lo, std::size_t hi) {
+  common::parallel_for(n, kGrain, threads, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t s = lo; s < hi; ++s) {
       if (!is_node(q.node_of[s])) continue;
       const std::uint32_t me = q.node_of[s];
@@ -218,7 +227,7 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
   }
 
   // Fill (parallel; each state owns its precomputed ranges).
-  for_range(n, options.threads, parallel, [&](std::size_t lo, std::size_t hi) {
+  common::parallel_for(n, kGrain, threads, [&](std::size_t lo, std::size_t hi) {
     for (std::size_t s = lo; s < hi; ++s) {
       if (!is_node(q.node_of[s])) continue;
       const std::uint32_t me = q.node_of[s];
@@ -283,7 +292,7 @@ inline Phase iterate_reach_max(const Quotient& q, const std::vector<double>& pin
                                double goal_value, const QuantOptions& options,
                                std::vector<double>& lo, std::vector<double>& hi) {
   const std::size_t n = q.num_nodes;
-  const bool parallel = n >= options.seq_sweep_threshold;
+  const int threads = phase_threads(n, options);
   lo.assign(n, 0.0);
   hi.assign(n, 1.0);
   std::vector<double> lo2(n), hi2(n);
@@ -303,14 +312,14 @@ inline Phase iterate_reach_max(const Quotient& q, const std::vector<double>& pin
     phase.converged = true;
     return phase;
   }
-  // Timeline: one slice per reachability phase, with a live bracket-width
+  // One span per reachability phase, with a live bracket-width timeline
   // sample per sweep (mirrored into a timing gauge for the heartbeat
   // sampler — parts-per-billion so it fits the integer metric tables).
-  obs::timeline::ScopedSlice phase_slice("quant.reach_phase");
+  obs::Span phase_span("quant.reach_phase");
   static obs::Gauge& width_gauge =
       obs::Registry::global().gauge("quant.bracket_width_ppb", obs::Plane::kTiming);
   while (phase.sweeps < options.max_iterations) {
-    for_range(n, options.threads, parallel, [&](std::size_t a, std::size_t b) {
+    common::parallel_for(n, kGrain, threads, [&](std::size_t a, std::size_t b) {
       for (std::size_t i = a; i < b; ++i) {
         if (fixed[i]) continue;
         const auto node = static_cast<std::uint32_t>(i);
@@ -325,14 +334,11 @@ inline Phase iterate_reach_max(const Quotient& q, const std::vector<double>& pin
     lo.swap(lo2);
     hi.swap(hi2);
     ++phase.sweeps;
-    const double width = common::parallel_chunk_max(n, options.threads,
-                                                    [&](std::size_t a, std::size_t b) {
-                                                      double w = 0.0;
-                                                      for (std::size_t i = a; i < b; ++i) {
-                                                        w = std::max(w, hi[i] - lo[i]);
-                                                      }
-                                                      return w;
-                                                    });
+    const double width = block_max(n, threads, [&](std::size_t a, std::size_t b) {
+      double w = 0.0;
+      for (std::size_t i = a; i < b; ++i) w = std::max(w, hi[i] - lo[i]);
+      return w;
+    });
     obs::timeline::counter_sample("quant.bracket_width", width);
     width_gauge.set(static_cast<std::uint64_t>(width * 1e9));
     if (width <= options.epsilon) {
@@ -343,14 +349,13 @@ inline Phase iterate_reach_max(const Quotient& q, const std::vector<double>& pin
     // the remaining width is irreducible — frontier mass on a truncated
     // model, or a float-locked gap — and further sweeps cannot certify.
     // lo2/hi2 hold the previous sweep after the swaps above.
-    const double moved = common::parallel_chunk_max(
-        n, options.threads, [&](std::size_t a, std::size_t b) {
-          double d = 0.0;
-          for (std::size_t i = a; i < b; ++i) {
-            d = std::max(d, std::max(lo[i] - lo2[i], hi2[i] - hi[i]));
-          }
-          return d;
-        });
+    const double moved = block_max(n, threads, [&](std::size_t a, std::size_t b) {
+      double d = 0.0;
+      for (std::size_t i = a; i < b; ++i) {
+        d = std::max(d, std::max(lo[i] - lo2[i], hi2[i] - hi[i]));
+      }
+      return d;
+    });
     if (moved <= options.epsilon * 1e-3) break;  // honest non-convergence
   }
   return phase;
@@ -375,15 +380,15 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
                         const Active& active, const UpdateLower& update_lower,
                         const ApplyUpper& apply_upper, std::vector<double>& lo,
                         std::vector<double>& hi) {
-  const bool parallel = n >= options.seq_sweep_threshold;
+  const int threads = phase_threads(n, options);
   lo.assign(n, 0.0);
   hi.assign(n, kInf);
   std::vector<double> lo2(lo), up(n, 0.0), up2(n, 0.0);
 
-  obs::timeline::ScopedSlice phase_slice("quant.time_phase");
+  obs::Span phase_span("quant.time_phase");
   Phase phase;
   auto sweep_lower = [&] {
-    for_range(n, options.threads, parallel, [&](std::size_t a, std::size_t b) {
+    common::parallel_for(n, kGrain, threads, [&](std::size_t a, std::size_t b) {
       for (std::size_t i = a; i < b; ++i) {
         if (active(i)) lo2[i] = std::max(lo[i], update_lower(i, lo));
       }
@@ -394,7 +399,7 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
   auto residual = [&] {
     // lo2 holds the previous sweep after the swap; infinite entries are
     // converged-at-infinity and do not gate the residual.
-    return common::parallel_chunk_max(n, options.threads, [&](std::size_t a, std::size_t b) {
+    return block_max(n, threads, [&](std::size_t a, std::size_t b) {
       double r = 0.0;
       for (std::size_t i = a; i < b; ++i) {
         if (active(i) && std::isfinite(lo[i])) r = std::max(r, lo[i] - lo2[i]);
@@ -403,7 +408,7 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
     });
   };
   auto gap = [&] {
-    return common::parallel_chunk_max(n, options.threads, [&](std::size_t a, std::size_t b) {
+    return block_max(n, threads, [&](std::size_t a, std::size_t b) {
       double w = 0.0;
       for (std::size_t i = a; i < b; ++i) {
         if (active(i) && std::isfinite(lo[i])) w = std::max(w, up[i] - lo[i]);
@@ -440,7 +445,7 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
     }
 
     for (std::size_t i = 0; i < n; ++i) up[i] = active(i) ? lo[i] * (1.0 + inflate) : 0.0;
-    for_range(n, options.threads, parallel, [&](std::size_t a, std::size_t b) {
+    common::parallel_for(n, kGrain, threads, [&](std::size_t a, std::size_t b) {
       for (std::size_t i = a; i < b; ++i) {
         if (active(i)) up2[i] = apply_upper(i, up);
       }
@@ -475,7 +480,7 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
       }
       last_gap = g;
       sweep_lower();
-      for_range(n, options.threads, parallel, [&](std::size_t a, std::size_t b) {
+      common::parallel_for(n, kGrain, threads, [&](std::size_t a, std::size_t b) {
         for (std::size_t i = a; i < b; ++i) {
           if (active(i)) up2[i] = std::min(up[i], apply_upper(i, up));
         }
@@ -619,7 +624,7 @@ SharedSweeps make_shared_sweeps(const ModelT& model) {
 template <class ModelT>
 QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
                         const QuantOptions& options, SharedSweeps& shared) {
-  obs::TimedSpan span("quant.analyze");
+  obs::Span span("quant.analyze");
   QuantResult result;
   result.target_set = target_set;
   result.num_states = model.num_states();
@@ -771,7 +776,7 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
                                          : Certainty::kIterationLimit;
 
   // Deterministic plane: sweep counts stop on thresholds of bit-identical
-  // parallel_chunk_max residuals, so they are thread-count invariant.
+  // block_max residuals, so they are thread-count invariant.
   static obs::Counter& analyses = obs::Registry::global().counter("quant.analyses");
   static obs::Counter& sweeps_ctr = obs::Registry::global().counter("quant.sweeps");
   static obs::Counter& stalls_ctr = obs::Registry::global().counter("quant.stalled_phases");

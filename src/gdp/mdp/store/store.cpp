@@ -490,7 +490,7 @@ std::size_t ChunkedModel::spilled_bytes() const {
 }
 
 void ChunkedModel::spill() {
-  obs::TimedSpan span("store.spill");
+  obs::Span span("store.spill");
   ensure_dir(options_.dir);
   for (std::size_t i = 0; i < chunks_.size(); ++i) {
     if (chunks_[i].spilled()) continue;
@@ -505,7 +505,7 @@ void ChunkedModel::spill() {
 }
 
 Model ChunkedModel::materialize() const {
-  obs::TimedSpan span("store.materialize");
+  obs::Span span("store.materialize");
   StoreCounters::get().materializations.increment();
   const std::size_t n = static_cast<std::size_t>(num_phils_);
   std::vector<std::uint64_t> offsets;
@@ -534,7 +534,7 @@ Model ChunkedModel::materialize() const {
 }
 
 void ChunkedModel::save_checkpoint(const std::string& path) const {
-  obs::TimedSpan span("store.checkpoint_save");
+  obs::Span span("store.checkpoint_save");
   std::vector<std::uint64_t> blob;
   std::size_t payload_total = 0;
   for (const Chunk& c : chunks_) payload_total += c.payload_words();
@@ -559,7 +559,7 @@ void ChunkedModel::save_checkpoint(const std::string& path) const {
 
 ChunkedModel ChunkedModel::load_checkpoint(const algos::Algorithm& algo, const graph::Topology& t,
                                            const std::string& path, StoreOptions options) {
-  obs::TimedSpan span("store.checkpoint_load");
+  obs::Span span("store.checkpoint_load");
   const auto [addr, bytes] = map_file(path);
   std::shared_ptr<const std::uint64_t> mapping(
       static_cast<const std::uint64_t*>(addr),

@@ -8,16 +8,17 @@
 //     every thread count. The deterministic plane may be fingerprinted and
 //     diffed across runs.
 //
-//   * Timing plane: wall-clock phase spans (obs::Span) and scheduling
+//   * Timing plane: wall-clock phase spans (obs::Span, which also emits a
+//     timeline slice when gdp/obs/timeline.hpp is on) and scheduling
 //     artifacts (steal counts). These are explicitly non-deterministic,
 //     never enter any fingerprint, and live under a separate key space in
 //     the report ("timing") so no tool can confuse the two.
 //
 // The whole subsystem is gated: obs::enabled() starts from the GDP_OBS
 // environment variable (unset/"0" = off) and can be flipped with
-// obs::set_enabled(). When off, Counter::add and Span construction are a
-// single relaxed atomic load and no clock is ever read — the engine's hot
-// paths pay nothing measurable.
+// obs::set_enabled(). When off, Counter::add is a single relaxed atomic
+// load (Span construction one per plane) and no clock is ever read — the
+// engine's hot paths pay nothing measurable.
 //
 // Snapshots serialize through one versioned JSON schema (kReportSchema,
 // obs::report_json) that every bench and example emits as BENCH_<name>.json
@@ -33,6 +34,8 @@
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "gdp/obs/timeline.hpp"
 
 namespace gdp::obs {
 
@@ -211,36 +214,39 @@ class Registry {
   Impl& impl() const;
 };
 
-/// RAII wall-clock span around one phase. Timing plane only: the elapsed
-/// time is recorded into Registry::record_span on destruction (or stop()),
-/// and never participates in any fingerprint. When obs is disabled at
-/// construction no clock is read at all.
+/// RAII span around one phase — the one span type. It feeds whichever
+/// planes are on at construction, each under its own gate: the registry's
+/// SpanValue aggregate when obs::enabled() (timing plane; recorded into
+/// Registry::record_span on destruction or stop(), never fingerprinted),
+/// and a duration slice on the calling thread's timeline track when
+/// timeline::enabled(). Each is armed at most once, at construction, so a
+/// gate switched on mid-scope cannot leave an end without its begin or a
+/// partial aggregate. With both gates off no clock is read at all. For a
+/// reading that exists regardless of the gates (bench progress lines),
+/// use Stopwatch.
 class Span {
  public:
   /// `name` must outlive the span (string literals in practice).
-  explicit Span(const char* name) : name_(name), armed_(enabled()) {
-    if (armed_) start_ = std::chrono::steady_clock::now();
+  explicit Span(const char* name)
+      : name_(name), timed_(enabled()), sliced_(timeline::enabled()) {
+    if (timed_) start_ = std::chrono::steady_clock::now();
+    if (sliced_) timeline::begin_slice(name_);
   }
   ~Span() { stop(); }
 
-  /// Ends the span early and records it; idempotent.
+  /// Ends the span early and records both planes; idempotent.
   void stop() {
-    if (!armed_) return;
-    armed_ = false;
-    elapsed_ns_ = static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                                 std::chrono::steady_clock::now() - start_)
-                                                 .count());
-    Registry::global().record_span(name_, elapsed_ns_);
-  }
-
-  /// Wall-clock seconds since construction — live while running, frozen at
-  /// stop(), 0.0 when obs is disabled. For bench progress lines; the
-  /// recorded aggregate comes from stop().
-  double seconds() const {
-    if (armed_) {
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_).count();
+    if (sliced_) {
+      sliced_ = false;
+      timeline::end_slice(name_);
     }
-    return static_cast<double>(elapsed_ns_) * 1e-9;
+    if (timed_) {
+      timed_ = false;
+      Registry::global().record_span(
+          name_, static_cast<std::uint64_t>(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                                                std::chrono::steady_clock::now() - start_)
+                                                .count()));
+    }
   }
 
   Span(const Span&) = delete;
@@ -248,8 +254,8 @@ class Span {
 
  private:
   const char* name_;
-  bool armed_;
-  std::uint64_t elapsed_ns_ = 0;
+  bool timed_;
+  bool sliced_;
   std::chrono::steady_clock::time_point start_;
 };
 

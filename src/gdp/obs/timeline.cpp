@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "gdp/common/thread_annotations.hpp"
+#include "gdp/obs/obs.hpp"
 
 namespace gdp::obs::timeline {
 

@@ -26,11 +26,10 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
-
-#include "gdp/obs/obs.hpp"
 
 namespace gdp::obs::timeline {
 
@@ -72,7 +71,7 @@ inline bool enabled() { return detail::g_enabled.load(std::memory_order_relaxed)
 void set_enabled(bool on);
 
 /// Opens a duration slice on the calling thread's track. Pair with
-/// end_slice(name) on the same thread (or use ScopedSlice / TimedSpan).
+/// end_slice(name) on the same thread (or hold an obs::Span, which does).
 void begin_slice(const char* name);
 void end_slice(const char* name);
 
@@ -82,28 +81,6 @@ void instant(const char* name);
 /// A sampled counter value on the calling thread's track (rendered as a
 /// counter lane in the trace viewer).
 void counter_sample(const char* name, double value);
-
-/// RAII duration slice — timeline only (no registry aggregate). Armed at
-/// construction, so a mid-scope enable/disable cannot unbalance the track.
-class ScopedSlice {
- public:
-  explicit ScopedSlice(const char* name) : name_(name), armed_(enabled()) {
-    if (armed_) begin_slice(name_);
-  }
-  ~ScopedSlice() { stop(); }
-  void stop() {
-    if (!armed_) return;
-    armed_ = false;
-    end_slice(name_);
-  }
-
-  ScopedSlice(const ScopedSlice&) = delete;
-  ScopedSlice& operator=(const ScopedSlice&) = delete;
-
- private:
-  const char* name_;
-  bool armed_;
-};
 
 /// Aggregate event accounting, readable while writers run.
 struct Stats {
@@ -142,39 +119,3 @@ bool write_trace(const std::string& path, const std::string& process_name = "gdp
 void reset();
 
 }  // namespace gdp::obs::timeline
-
-namespace gdp::obs {
-
-/// RAII span that records BOTH planes from one call site: the registry's
-/// SpanValue aggregate (obs::Span, gated by GDP_OBS) and a timeline slice
-/// (gated by GDP_OBS_TIMELINE). The two gates are independent — either
-/// side can be off without disturbing the other.
-class TimedSpan {
- public:
-  explicit TimedSpan(const char* name)
-      : span_(name), name_(name), slice_(timeline::enabled()) {
-    if (slice_) timeline::begin_slice(name_);
-  }
-  ~TimedSpan() { stop(); }
-
-  /// Ends both records early; idempotent.
-  void stop() {
-    if (slice_) {
-      slice_ = false;
-      timeline::end_slice(name_);
-    }
-    span_.stop();
-  }
-
-  double seconds() const { return span_.seconds(); }
-
-  TimedSpan(const TimedSpan&) = delete;
-  TimedSpan& operator=(const TimedSpan&) = delete;
-
- private:
-  Span span_;
-  const char* name_;
-  bool slice_;
-};
-
-}  // namespace gdp::obs

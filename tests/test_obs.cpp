@@ -159,14 +159,11 @@ TEST_F(ObsTest, FingerprintIgnoresTheTimingPlane) {
   EXPECT_NE(deterministic_fingerprint(Registry::global().snapshot()), base);
 }
 
-TEST_F(ObsTest, SpanRecordsOnceAndFreezesSeconds) {
+TEST_F(ObsTest, SpanRecordsOnce) {
   {
     Span span("test.span_once");
     span.stop();
-    const double frozen = span.seconds();
-    EXPECT_GE(frozen, 0.0);
-    EXPECT_EQ(span.seconds(), frozen);  // frozen after stop
-    span.stop();                        // idempotent — no second record
+    span.stop();  // idempotent — no second record, none at destruction
   }
   const Snapshot snap = Registry::global().snapshot();
   bool found = false;
@@ -197,9 +194,7 @@ TEST_F(ObsTest, SpanMinMaxTrackExtrema) {
 
 TEST_F(ObsTest, SpanReadsNoClockWhenDisabled) {
   set_enabled(false);
-  Span span("test.span_disabled");
-  span.stop();
-  EXPECT_EQ(span.seconds(), 0.0);
+  { Span span("test.span_disabled"); }
   set_enabled(true);
   const Snapshot snap = Registry::global().snapshot();
   for (const auto& s : snap.spans) EXPECT_NE(s.name, "test.span_disabled");
@@ -495,42 +490,58 @@ TEST_F(TimelineTest, OffMeansZeroEvents) {
   timeline::end_slice("test.off");
   timeline::instant("test.off_instant");
   timeline::counter_sample("test.off_counter", 1.0);
-  { timeline::ScopedSlice slice("test.off_scoped"); }
+  { Span span("test.off_scoped"); }
   const timeline::Stats stats = timeline::stats();
   EXPECT_EQ(stats.events, 0u);
   EXPECT_EQ(stats.dropped_events, 0u);
 }
 
-TEST_F(TimelineTest, TimedSpanFeedsBothPlanesIndependently) {
-  // Timeline off, obs on: the aggregate span still records.
-  timeline::set_enabled(false);
-  { TimedSpan span("test.both_planes"); }
-  EXPECT_EQ(timeline::stats().events, 0u);
-  Snapshot snap = Registry::global().snapshot();
-  bool found = false;
-  for (const auto& s : snap.spans) {
-    if (s.name == "test.both_planes") {
-      found = true;
-      EXPECT_EQ(s.count, 1u);
+// One span, two independent gates: every combination of obs::enabled() and
+// timeline::enabled() records exactly the planes that were on at
+// construction. Each plane is armed once, there: a gate switched on
+// mid-scope records nothing for this span (no end without a begin), and
+// the registry aggregate still records if obs is switched off mid-scope.
+// (Switching the timeline off drops every later event, slice ends
+// included — timeline.hpp says to flip it around runs, not during them.)
+TEST_F(TimelineTest, SpanFeedsEachPlaneUnderItsOwnGate) {
+  struct Gates {
+    const char* name;
+    bool registry;
+    bool timeline;
+  };
+  const Gates cases[] = {{"test.gates_off", false, false},
+                         {"test.gates_registry", true, false},
+                         {"test.gates_timeline", false, true},
+                         {"test.gates_both", true, true}};
+  for (const Gates& g : cases) {
+    SCOPED_TRACE(g.name);
+    timeline::reset();
+    set_enabled(g.registry);
+    timeline::set_enabled(g.timeline);
+    {
+      Span span(g.name);
+      set_enabled(!g.registry);
+      timeline::set_enabled(true);
     }
+    set_enabled(true);
+    timeline::set_enabled(true);
+    std::uint64_t recorded = 0;
+    for (const auto& s : Registry::global().snapshot().spans) {
+      if (s.name == g.name) recorded = s.count;
+    }
+    EXPECT_EQ(recorded, g.registry ? 1u : 0u);
+    const timeline::Stats stats = timeline::stats();
+    EXPECT_EQ(stats.begins, g.timeline ? 1u : 0u);
+    EXPECT_EQ(stats.ends, stats.begins);
+    EXPECT_EQ(stats.events, stats.begins + stats.ends);
   }
-  EXPECT_TRUE(found);
-
-  // Timeline on, obs off: the slice still records.
-  timeline::set_enabled(true);
-  set_enabled(false);
-  { TimedSpan span("test.both_planes"); }
-  set_enabled(true);
-  const timeline::Stats stats = timeline::stats();
-  EXPECT_EQ(stats.begins, 1u);
-  EXPECT_EQ(stats.ends, 1u);
 }
 
 TEST_F(TimelineTest, BalancedBeginsEndsAndMonotoneTimestampsPerTrack) {
   common::parallel_for(64, /*threads=*/4, [&](std::uint32_t id) {
-    timeline::ScopedSlice outer("test.outer");
+    Span outer("test.outer");
     {
-      timeline::ScopedSlice inner("test.inner");
+      Span inner("test.inner");
       timeline::instant("test.tick");
     }
     timeline::counter_sample("test.progress", static_cast<double>(id));
@@ -574,7 +585,7 @@ TEST_F(TimelineTest, BalancedBeginsEndsAndMonotoneTimestampsPerTrack) {
 
 TEST_F(TimelineTest, TraceJsonIsWellFormedAndRoundTripsThroughWriteTrace) {
   {
-    timeline::ScopedSlice slice("test.trace_slice");
+    Span span("test.trace_slice");
     timeline::instant("test.trace_instant");
     timeline::counter_sample("test.trace_counter", 3.5);
   }
@@ -701,7 +712,7 @@ TEST_F(TimelineTest, TimelineHammeredByWritersUnderALiveReader) {
       return;
     }
     for (int i = 0; i < kRounds; ++i) {
-      timeline::ScopedSlice slice("hammer.slice");
+      Span span("hammer.slice");
       timeline::instant("hammer.instant");
       timeline::counter_sample("hammer.progress", static_cast<double>(i));
     }

@@ -17,6 +17,7 @@
 #include "gdp/mdp/fair_progress.hpp"
 #include "gdp/mdp/model.hpp"
 #include "gdp/mdp/quant/quant.hpp"
+#include "gdp/mdp/quant/quant_impl.hpp"
 
 namespace gdp::mdp::quant {
 namespace {
@@ -241,9 +242,13 @@ TEST(QuantDeterminism, BitIdenticalAcrossThreadCounts) {
     const char* algo;
     graph::Topology t;
   };
+  // gdp2 on parallel(4) has a 99,328-node quotient, past the inline
+  // cutoff, so its sweeps and residual reductions run on the pool at
+  // threads > 1; the small models pin the inline path.
   const Case cases[] = {{"lr1", graph::classic_ring(3)},
                         {"lr1", graph::parallel_arcs(3)},
-                        {"gdp1", graph::classic_ring(3)}};
+                        {"gdp1", graph::classic_ring(3)},
+                        {"gdp2", graph::parallel_arcs(4)}};
   for (const Case& c : cases) {
     SCOPED_TRACE(std::string(c.algo) + " on " + c.t.name());
     const auto algo = algos::make_algorithm(c.algo);
@@ -254,8 +259,10 @@ TEST(QuantDeterminism, BitIdenticalAcrossThreadCounts) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       QuantOptions opts;
       opts.threads = threads;
-      opts.seq_sweep_threshold = 1;  // force the pool even on small models
       const QuantResult r = analyze(m, ~std::uint64_t{0}, opts);
+      if (std::string(c.algo) == "gdp2") {
+        EXPECT_GE(r.num_quotient_nodes, detail::kInlineNodes);
+      }
       if (have_base) {
         expect_identical_intervals(base, r);
       } else {
@@ -295,7 +302,6 @@ TEST(QuantMultiTarget, BitIdenticalToSingleTargetCalls) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       QuantOptions opts;
       opts.threads = threads;
-      opts.seq_sweep_threshold = 1;  // force the pool even on small models
       const std::vector<QuantResult> multi = analyze(m, targets, opts);
       ASSERT_EQ(multi.size(), targets.size());
       for (std::size_t i = 0; i < targets.size(); ++i) {

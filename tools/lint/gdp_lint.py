@@ -24,12 +24,12 @@ src/ tests/ bench/ examples/ by the `static-analysis` CI job and
                       src/gdp/obs/ — hand-rolled stopwatches and event
                       buffers bypass the obs timing plane, so their
                       readings never reach the run report or the timeline
-                      trace and tempt result-side use. Hold an obs::Span /
-                      obs::TimedSpan, use obs::Stopwatch for time-driven
-                      harness behavior, or emit timeline::instant /
-                      counter_sample slices instead. Lines that call
-                      ::now() are the wall-clock rule's findings, not this
-                      rule's.
+                      trace and tempt result-side use. Hold an obs::Span
+                      (run report + timeline), use obs::Stopwatch for
+                      time-driven harness behavior, or emit
+                      timeline::instant / counter_sample events instead.
+                      Lines that call ::now() are the wall-clock rule's
+                      findings, not this rule's.
   unordered-iteration No range-for over an unordered_map/unordered_set
                       (or a `using` alias of one) — hash iteration
                       order is libstdc++-version- and pointer-dependent,
@@ -44,12 +44,11 @@ src/ tests/ bench/ examples/ by the `static-analysis` CI job and
   fp-parallel-accumulation
                       No compound assignment (+=, -=, *=, /=) to a
                       float/double declared OUTSIDE a parallel region
-                      (parallel_for / run_workers / for_range /
-                      parallel_chunk_max bodies) — cross-thread float
-                      accumulation is both a data race and, even when
+                      (parallel_for / run_workers bodies) — cross-thread
+                      float accumulation is both a data race and, even when
                       atomic, order-dependent in the last ulp. Park partial
-                      results at task indices and fold them in index order,
-                      or use common::parallel_chunk_max.
+                      results at block or task indices and fold them in
+                      index order.
   unannotated-mutex   Every mutex declared under src/ (std::mutex,
                       std::shared_mutex, common::Mutex) must be referenced
                       by a GDP_GUARDED_BY / GDP_PT_GUARDED_BY /
@@ -320,8 +319,8 @@ def rule_obs_outside_span(path: str, code_lines: list[str]) -> list[Finding]:
             found.append(Finding(
                 path, idx, "obs-outside-span",
                 "hand-rolled stopwatch state (a chrono clock type) outside "
-                "gdp/obs/: phase timing goes through obs::Span / "
-                "obs::TimedSpan (run report + timeline trace) and "
+                "gdp/obs/: phase timing goes through obs::Span "
+                "(run report + timeline trace) and "
                 "time-driven behavior through obs::Stopwatch, so clock "
                 "reads never leak into results — use those, or suppress "
                 "with a justification"))
@@ -400,9 +399,9 @@ def rule_raw_thread(path: str, code_lines: list[str]) -> list[Finding]:
 
 
 PARALLEL_ENTRY_RE = re.compile(
-    r"\b(?:common::)?(?:parallel_for|run_workers|for_range|parallel_chunk_max)\s*\(")
+    r"\b(?:common::)?(?:parallel_for|run_workers)\s*\(")
 COMPOUND_ASSIGN_RE = re.compile(r"([A-Za-z_]\w*(?:(?:\.|->)\w+)*)\s*(\+=|-=|\*=|/=)")
-FP_EXEMPT = ("gdp/common/pool.cpp",)  # implements the blessed reductions
+FP_EXEMPT = ("gdp/common/pool.cpp",)  # implements the loop itself
 
 
 def rule_fp_parallel_accumulation(path: str, code: str) -> list[Finding]:
@@ -435,8 +434,8 @@ def rule_fp_parallel_accumulation(path: str, code: str) -> list[Finding]:
                 path, line_of(code, region_base + am.start()), "fp-parallel-accumulation",
                 f"floating-point accumulation into '{lhs}' captured by a parallel "
                 "region: cross-thread float folds are order-dependent in the last "
-                "ulp (and usually racy) — park per-task partials at their index "
-                "and fold in index order, or use common::parallel_chunk_max"))
+                "ulp (and usually racy) — park per-block partials at their index "
+                "and fold in index order"))
     return found
 
 
