@@ -12,6 +12,7 @@
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/common/pool.hpp"
 #include "gdp/graph/builders.hpp"
+#include "gdp/mdp/end_components.hpp"
 #include "gdp/mdp/fair_progress.hpp"
 #include "gdp/pi/guarded_choice.hpp"
 #include "gdp/rng/rng.hpp"
@@ -141,6 +142,25 @@ void BM_FairProgressCheck(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FairProgressCheck)->Unit(benchmark::kMicrosecond);
+
+// The worklist MEC refinement on lr2/parallel(4) (complete, ~0.5M
+// candidate states). Arg: avoid set, 0 (every state is a candidate: the
+// full-model decomposition quant's p_trap needs) or 1 (all philosophers:
+// the progress verdict's meal-free fragment).
+void BM_MecDecompose(benchmark::State& state) {
+  static const mdp::Model model = [] {
+    const auto algo = algos::make_algorithm("lr2");
+    return mdp::explore(*algo, graph::parallel_arcs(4), {.max_states = 3'000'000});
+  }();
+  const std::uint64_t avoid = state.range(0) == 0 ? 0 : ~std::uint64_t{0};
+  for (auto _ : state) {
+    const auto mecs = mdp::maximal_end_components(model, avoid);
+    benchmark::DoNotOptimize(mecs.size());
+    state.counters["mecs"] = static_cast<double>(mecs.size());
+  }
+  state.counters["states"] = static_cast<double>(model.num_states());
+}
+BENCHMARK(BM_MecDecompose)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 void BM_GuardedChoice(benchmark::State& state) {
   const auto t = graph::classic_ring(4);

@@ -32,12 +32,24 @@
 // bounds come from optimistic value iteration: guess U = (1 + d) * L,
 // accept only when T(U) <= U pointwise (which proves U >= the true value
 // by monotone unrolling), then co-iterate both bounds down to epsilon.
+//
+// Every sweep is one pool pass that also computes its own stopping test:
+// the reach kernel evaluates both bounds in one traversal of the quotient
+// (two accumulators, each adding in the order a single-bound evaluation
+// would) together with the bracket width and the largest move; the time
+// kernels fold the residual into the lower sweep, and the verification
+// pass and each co-iteration step (lower sweep, upper sweep, gap) are
+// single passes too. Each block parks its max partials at lo / kGrain and
+// the partials fold in index order (fold_max), so the results are
+// bit-identical to separate passes at every thread count. There is no
+// separate max-reduction pass.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "gdp/common/check.hpp"
@@ -71,17 +83,18 @@ inline int phase_threads(std::size_t n, const QuantOptions& options) {
   return n < kInlineNodes ? 1 : options.threads;
 }
 
-/// Deterministic max-reduction over [0, n): body(lo, hi) returns the max of
-/// one block, parked at lo / kGrain; the partials fold in index order once
-/// the pool drains. IEEE max is exact, so the result is bit-identical for
-/// every block size and thread count. -inf when n == 0.
-template <typename Body>
-double block_max(std::size_t n, int threads, const Body& body) {
-  std::vector<double> partial(n / kGrain + 1, -kInf);
-  common::parallel_for(n, kGrain, threads, [&](std::size_t lo, std::size_t hi) {
-    partial[lo / kGrain] = body(lo, hi);
-  });
-  double best = -kInf;
+/// One slot per parallel_for block of a pass over n elements: the block
+/// [lo, hi) parks its partial reduction at lo / kGrain. A phase keeps n and
+/// its thread count fixed, so every pass writes the same slots.
+inline std::size_t block_slots(std::size_t n) { return n / kGrain + 1; }
+
+/// Folds per-block max partials in index order. Every quantity reduced
+/// this way is a max over non-negative terms seeded with 0.0, so 0.0 is
+/// neutral for slots no block wrote (the inline single-block call writes
+/// only slot 0). IEEE max is exact: the result is bit-identical for every
+/// block size and thread count.
+inline double fold_max(const std::vector<double>& partial) {
+  double best = 0.0;
   for (const double p : partial) best = std::max(best, p);
   return best;
 }
@@ -205,15 +218,26 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
   std::vector<std::size_t> act_base(n, 0), out_base(n, 0);
   q.act_off.assign(q.num_nodes + 1, 0);
   {
-    // Members of node q in ascending state order: reconstructed from the
-    // ascending scan that assigned the ids (MEC state lists are ascending).
-    std::vector<std::vector<StateId>> members(q.num_nodes);
+    // Members of every node in ascending state order: a counting sort of
+    // the states by node id into one flat array. The placing scan is
+    // ascending, so each node's run is too. member_end[node + 1] counts,
+    // then holds each run's start, and the placing scan advances it to the
+    // run's end.
+    std::vector<std::size_t> member_end(q.num_nodes + 1, 0);
     for (StateId s = 0; s < n; ++s) {
-      if (is_node(q.node_of[s])) members[q.node_of[s]].push_back(s);
+      if (is_node(q.node_of[s])) ++member_end[q.node_of[s] + 1];
     }
-    std::size_t next_act = 0, next_out = 0;
     for (std::uint32_t node = 0; node < q.num_nodes; ++node) {
-      for (const StateId s : members[node]) {
+      member_end[node + 1] += member_end[node];
+    }
+    std::vector<StateId> members(member_end[q.num_nodes]);
+    for (StateId s = 0; s < n; ++s) {
+      if (is_node(q.node_of[s])) members[member_end[q.node_of[s]]++] = s;
+    }
+    std::size_t next_act = 0, next_out = 0, k = 0;
+    for (std::uint32_t node = 0; node < q.num_nodes; ++node) {
+      for (; k < member_end[node]; ++k) {
+        const StateId s = members[k];
         act_base[s] = next_act;
         out_base[s] = next_out;
         next_act += act_count[s];
@@ -282,6 +306,28 @@ inline double bell_max(const Quotient& q, std::uint32_t i, const std::vector<dou
   return best == -kInf ? sink : best;
 }
 
+/// Both reach-probability bell_max evaluations of node `i` in one traversal
+/// of its actions: against `lo` with the kUnknown terminal at 0 and against
+/// `hi` with it at 1 (cost 0; a node without actions would return 0, but
+/// the reach kernel fixes those). Each accumulator adds in the same order as
+/// a separate bell_max call, so both results are bit-identical to it.
+inline std::pair<double, double> bell_max_reach(const Quotient& q, std::uint32_t i,
+                                                const std::vector<double>& lo,
+                                                const std::vector<double>& hi, double goal) {
+  double best_lo = -kInf, best_hi = -kInf;
+  for (std::size_t a = q.act_off[i]; a < q.act_off[i + 1]; ++a) {
+    double acc_lo = 0.0, acc_hi = 0.0;
+    for (std::size_t o = q.out_off[a]; o < q.out_off[a + 1]; ++o) {
+      const std::uint32_t d = q.dest[o];
+      acc_lo += q.prob[o] * (d == kGoal ? goal : d == kUnknown ? 0.0 : lo[d]);
+      acc_hi += q.prob[o] * (d == kGoal ? goal : d == kUnknown ? 1.0 : hi[d]);
+    }
+    best_lo = std::max(best_lo, acc_lo);
+    best_hi = std::max(best_hi, acc_hi);
+  }
+  return {best_lo == -kInf ? 0.0 : best_lo, best_hi == -kInf ? 0.0 : best_hi};
+}
+
 /// Interval iteration for max reachability probability on the quotient.
 /// `pinned[i]` >= 0 fixes node i at that value in both bounds (used for the
 /// fair-trap goals of the p_min computation). goal_value is the value of
@@ -318,27 +364,31 @@ inline Phase iterate_reach_max(const Quotient& q, const std::vector<double>& pin
   obs::Span phase_span("quant.reach_phase");
   static obs::Gauge& width_gauge =
       obs::Registry::global().gauge("quant.bracket_width_ppb", obs::Plane::kTiming);
+  // One pass per sweep: both bounds, plus each block's bracket width and
+  // largest move, parked per block and folded in index order.
+  std::vector<double> width_part(block_slots(n), 0.0), moved_part(block_slots(n), 0.0);
   while (phase.sweeps < options.max_iterations) {
     common::parallel_for(n, kGrain, threads, [&](std::size_t a, std::size_t b) {
+      double w = 0.0, d = 0.0;
       for (std::size_t i = a; i < b; ++i) {
-        if (fixed[i]) continue;
-        const auto node = static_cast<std::uint32_t>(i);
+        if (fixed[i]) continue;  // lo == hi, never moves
+        const auto [l, h] = bell_max_reach(q, static_cast<std::uint32_t>(i), lo, hi, goal_value);
         // The [0, 1] clamp keeps float rounding honest: outcome
         // probabilities are stored as floats and a row's mass can sum to
         // just above 1, which would otherwise push a "lower bound" past
         // the true probability ceiling.
-        lo2[i] = std::min(1.0, std::max(lo[i], bell_max(q, node, lo, goal_value, 0.0, 0.0, 0.0)));
-        hi2[i] = std::max(0.0, std::min(hi[i], bell_max(q, node, hi, goal_value, 1.0, 0.0, 0.0)));
+        lo2[i] = std::min(1.0, std::max(lo[i], l));
+        hi2[i] = std::max(0.0, std::min(hi[i], h));
+        w = std::max(w, hi2[i] - lo2[i]);
+        d = std::max(d, std::max(lo2[i] - lo[i], hi[i] - hi2[i]));
       }
+      width_part[a / kGrain] = w;
+      moved_part[a / kGrain] = d;
     });
     lo.swap(lo2);
     hi.swap(hi2);
     ++phase.sweeps;
-    const double width = block_max(n, threads, [&](std::size_t a, std::size_t b) {
-      double w = 0.0;
-      for (std::size_t i = a; i < b; ++i) w = std::max(w, hi[i] - lo[i]);
-      return w;
-    });
+    const double width = fold_max(width_part);
     obs::timeline::counter_sample("quant.bracket_width", width);
     width_gauge.set(static_cast<std::uint64_t>(width * 1e9));
     if (width <= options.epsilon) {
@@ -348,15 +398,7 @@ inline Phase iterate_reach_max(const Quotient& q, const std::vector<double>& pin
     // Stall detection: when both bounds have (numerically) stopped moving
     // the remaining width is irreducible — frontier mass on a truncated
     // model, or a float-locked gap — and further sweeps cannot certify.
-    // lo2/hi2 hold the previous sweep after the swaps above.
-    const double moved = block_max(n, threads, [&](std::size_t a, std::size_t b) {
-      double d = 0.0;
-      for (std::size_t i = a; i < b; ++i) {
-        d = std::max(d, std::max(lo[i] - lo2[i], hi2[i] - hi[i]));
-      }
-      return d;
-    });
-    if (moved <= options.epsilon * 1e-3) break;  // honest non-convergence
+    if (fold_max(moved_part) <= options.epsilon * 1e-3) break;  // honest non-convergence
   }
   return phase;
 }
@@ -384,44 +426,51 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
   lo.assign(n, 0.0);
   hi.assign(n, kInf);
   std::vector<double> lo2(lo), up(n, 0.0), up2(n, 0.0);
+  // Per-block partials: a residual or a gap (max-folded), and T(U) <= U.
+  std::vector<double> partial(block_slots(n), 0.0);
+  std::vector<std::uint8_t> valid_part(block_slots(n), 1);
 
   obs::Span phase_span("quant.time_phase");
   Phase phase;
+  // One lower sweep; returns its residual, the largest lower-bound move.
+  // Infinite entries are converged-at-infinity and do not gate it.
   auto sweep_lower = [&] {
     common::parallel_for(n, kGrain, threads, [&](std::size_t a, std::size_t b) {
+      double r = 0.0;
       for (std::size_t i = a; i < b; ++i) {
-        if (active(i)) lo2[i] = std::max(lo[i], update_lower(i, lo));
+        if (!active(i)) continue;
+        lo2[i] = std::max(lo[i], update_lower(i, lo));
+        if (std::isfinite(lo2[i])) r = std::max(r, lo2[i] - lo[i]);
       }
+      partial[a / kGrain] = r;
     });
     lo.swap(lo2);
     ++phase.sweeps;
+    return fold_max(partial);
   };
-  auto residual = [&] {
-    // lo2 holds the previous sweep after the swap; infinite entries are
-    // converged-at-infinity and do not gate the residual.
-    return block_max(n, threads, [&](std::size_t a, std::size_t b) {
-      double r = 0.0;
-      for (std::size_t i = a; i < b; ++i) {
-        if (active(i) && std::isfinite(lo[i])) r = std::max(r, lo[i] - lo2[i]);
-      }
-      return r;
-    });
-  };
-  auto gap = [&] {
-    return block_max(n, threads, [&](std::size_t a, std::size_t b) {
+  // The co-iteration step: the lower sweep, the upper sweep (both Jacobi
+  // over the old vectors) and the gap of the new pair, in one pass.
+  auto sweep_both = [&] {
+    common::parallel_for(n, kGrain, threads, [&](std::size_t a, std::size_t b) {
       double w = 0.0;
       for (std::size_t i = a; i < b; ++i) {
-        if (active(i) && std::isfinite(lo[i])) w = std::max(w, up[i] - lo[i]);
+        if (!active(i)) continue;
+        lo2[i] = std::max(lo[i], update_lower(i, lo));
+        up2[i] = std::min(up[i], apply_upper(i, up));
+        if (std::isfinite(lo2[i])) w = std::max(w, up2[i] - lo2[i]);
       }
-      return w;
+      partial[a / kGrain] = w;
     });
+    lo.swap(lo2);
+    up.swap(up2);
+    ++phase.sweeps;
+    return fold_max(partial);
   };
 
   const std::size_t budget = options.max_iterations;
   if (!complete) {
     while (phase.sweeps < budget) {
-      sweep_lower();
-      if (residual() <= options.epsilon / 8.0) break;
+      if (sweep_lower() <= options.epsilon / 8.0) break;
     }
     return phase;  // lower bound only; never converged in the certified sense
   }
@@ -440,22 +489,29 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
   std::size_t warm = 64;
   for (int round = 0; round < 24 && phase.sweeps < budget; ++round) {
     for (std::size_t k = 0; k < warm && phase.sweeps < budget; ++k) {
-      sweep_lower();
-      if (residual() <= options.epsilon / 8.0) break;
+      if (sweep_lower() <= options.epsilon / 8.0) break;
     }
 
-    for (std::size_t i = 0; i < n; ++i) up[i] = active(i) ? lo[i] * (1.0 + inflate) : 0.0;
+    // The guess U, then one verification pass: T(U), whether T(U) <= U
+    // holds (per-block flags), and the gap T(U) - L the co-iteration
+    // starts from.
     common::parallel_for(n, kGrain, threads, [&](std::size_t a, std::size_t b) {
+      for (std::size_t i = a; i < b; ++i) up[i] = active(i) ? lo[i] * (1.0 + inflate) : 0.0;
+    });
+    common::parallel_for(n, kGrain, threads, [&](std::size_t a, std::size_t b) {
+      bool ok = true;
+      double w = 0.0;
       for (std::size_t i = a; i < b; ++i) {
-        if (active(i)) up2[i] = apply_upper(i, up);
+        if (!active(i)) continue;
+        up2[i] = apply_upper(i, up);
+        ok = ok && up2[i] <= up[i];
+        if (std::isfinite(lo[i])) w = std::max(w, up2[i] - lo[i]);
       }
+      valid_part[a / kGrain] = ok ? 1 : 0;
+      partial[a / kGrain] = w;
     });
     ++phase.sweeps;
-    bool valid = true;
-    for (std::size_t i = 0; i < n && valid; ++i) {
-      if (active(i)) valid = up2[i] <= up[i];
-    }
-    if (!valid) {
+    if (std::find(valid_part.begin(), valid_part.end(), 0) != valid_part.end()) {
       inflate *= 8.0;
       warm *= 2;
       continue;
@@ -465,10 +521,10 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
     // staying true upper bounds. Co-iterate both sides down to epsilon,
     // bailing out honestly if the gap float-locks above it.
     up.swap(up2);
+    double g = fold_max(partial);
     double last_gap = kInf;
     int stalls = 0;
     while (phase.sweeps < budget) {
-      const double g = gap();
       if (g <= options.epsilon) {
         phase.converged = true;
         break;
@@ -479,13 +535,7 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
         stalls = 0;
       }
       last_gap = g;
-      sweep_lower();
-      common::parallel_for(n, kGrain, threads, [&](std::size_t a, std::size_t b) {
-        for (std::size_t i = a; i < b; ++i) {
-          if (active(i)) up2[i] = std::min(up[i], apply_upper(i, up));
-        }
-      });
-      up.swap(up2);
+      g = sweep_both();
     }
     if (phase.converged) {
       for (std::size_t i = 0; i < n; ++i) {
@@ -776,7 +826,7 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
                                          : Certainty::kIterationLimit;
 
   // Deterministic plane: sweep counts stop on thresholds of bit-identical
-  // block_max residuals, so they are thread-count invariant.
+  // per-block max folds, so they are thread-count invariant.
   static obs::Counter& analyses = obs::Registry::global().counter("quant.analyses");
   static obs::Counter& sweeps_ctr = obs::Registry::global().counter("quant.sweeps");
   static obs::Counter& stalls_ctr = obs::Registry::global().counter("quant.stalled_phases");

@@ -434,5 +434,116 @@ TEST(QuantChainCrossCheck, RingChordParallelStar) {
   }
 }
 
+// --- Bit pins: every interval endpoint (hex float) and the five per-phase
+// sweep counts, recorded before the fused one-pass sweeps replaced the
+// two-pass ones. The fused kernels evaluate each accumulator in the same
+// addition order and fold the per-block max-reductions in index order, so
+// they must reproduce this table exactly, inline (small quotients) and on
+// the pool (gdp2/parallel(4): 99,328 quotient nodes) alike. ---
+
+struct QuantPin {
+  const char* algo;
+  const char* topology;
+  int threads;
+  std::size_t states;
+  Interval p_min, p_max, p_trap, e_min, e_max;
+  std::size_t sweeps[5];  // p_max, p_min, e_min, e_max, p_trap
+};
+
+graph::Topology pin_topology(const std::string& name) {
+  for (graph::Topology t : {graph::classic_ring(3), graph::parallel_arcs(3),
+                            graph::ring_with_pendant(3), graph::parallel_arcs(4)}) {
+    if (t.name() == name) return t;
+  }
+  ADD_FAILURE() << "unknown pin topology " << name;
+  return graph::classic_ring(3);
+}
+
+TEST(QuantPins, BitIdenticalToRecordedTable) {
+  // ring_pendant(3) runs capped at 50k states (the truncation path).
+  const QuantPin pins[] = {
+      {"lr2", "ring(3)", 1, 19009,
+       {0x1p+0, 0x1p+0}, {0x1p+0, 0x1p+0}, {0x0p+0, 0x0p+0},
+       {0x1.4p+2, 0x1.4p+2}, {0x1.37ffffffe5ap+4, 0x1.380000ffc5004p+4},
+       {5, 0, 11, 126, 0}},
+      {"lr2", "ring(3)", 4, 19009,
+       {0x1p+0, 0x1p+0}, {0x1p+0, 0x1p+0}, {0x0p+0, 0x0p+0},
+       {0x1.4p+2, 0x1.4p+2}, {0x1.37ffffffe5ap+4, 0x1.380000ffc5004p+4},
+       {5, 0, 11, 126, 0}},
+      {"lr2", "parallel(3)", 1, 17186,
+       {0x1p-2, 0x1p-2}, {0x1p+0, 0x1p+0}, {0x1.8p-1, 0x1.8p-1},
+       {0x1.4p+2, 0x1.4p+2}, {kInfD, kInfD},
+       {5, 83, 11, 0, 97}},
+      {"lr2", "parallel(3)", 4, 17186,
+       {0x1p-2, 0x1p-2}, {0x1p+0, 0x1p+0}, {0x1.8p-1, 0x1.8p-1},
+       {0x1.4p+2, 0x1.4p+2}, {kInfD, kInfD},
+       {5, 83, 11, 0, 97}},
+      {"lr2", "ring_pendant(3)", 1, 50788,
+       {0x1.5ffffff6268p-1, 0x1p+0}, {0x1p+0, 0x1p+0}, {0x0p+0, 0x1p+0},
+       {0x1.4p+2, kInfD}, {0x1.0effff7538eacp+5, kInfD},
+       {6, 133, 6, 259, 1}},
+      {"lr2", "ring_pendant(3)", 4, 50788,
+       {0x1.5ffffff6268p-1, 0x1p+0}, {0x1p+0, 0x1p+0}, {0x0p+0, 0x1p+0},
+       {0x1.4p+2, kInfD}, {0x1.0effff7538eacp+5, kInfD},
+       {6, 133, 6, 259, 1}},
+      {"gdp2", "ring(3)", 1, 169352,
+       {0x1p+0, 0x1p+0}, {0x1p+0, 0x1p+0}, {0x0p+0, 0x0p+0},
+       {0x1.8000002p+2, 0x1.8000002p+2}, {0x1.b38e3a2719c52p+4, 0x1.b38e3b30391d4p+4},
+       {6, 0, 13, 116, 0}},
+      {"gdp2", "ring(3)", 4, 169352,
+       {0x1p+0, 0x1p+0}, {0x1p+0, 0x1p+0}, {0x0p+0, 0x0p+0},
+       {0x1.8000002p+2, 0x1.8000002p+2}, {0x1.b38e3a2719c52p+4, 0x1.b38e3b30391d4p+4},
+       {6, 0, 13, 116, 0}},
+      {"gdp2", "parallel(3)", 1, 6544,
+       {0x1p+0, 0x1p+0}, {0x1p+0, 0x1p+0}, {0x0p+0, 0x0p+0},
+       {0x1.8p+2, 0x1.8p+2}, {0x1.8p+3, 0x1.8p+3},
+       {6, 0, 13, 25, 0}},
+      {"gdp2", "parallel(3)", 4, 6544,
+       {0x1p+0, 0x1p+0}, {0x1p+0, 0x1p+0}, {0x0p+0, 0x0p+0},
+       {0x1.8p+2, 0x1.8p+2}, {0x1.8p+3, 0x1.8p+3},
+       {6, 0, 13, 25, 0}},
+      {"gdp2", "ring_pendant(3)", 1, 53385,
+       {0x0p+0, 0x1p+0}, {0x1p+0, 0x1p+0}, {0x0p+0, 0x1p+0},
+       {0x1.8p+2, kInfD}, {0x1.8p+4, kInfD},
+       {7, 1, 7, 56, 1}},
+      {"gdp2", "ring_pendant(3)", 4, 53385,
+       {0x0p+0, 0x1p+0}, {0x1p+0, 0x1p+0}, {0x0p+0, 0x1p+0},
+       {0x1.8p+2, kInfD}, {0x1.8p+4, kInfD},
+       {7, 1, 7, 56, 1}},
+      {"gdp2", "parallel(4)", 1, 132608,
+       {0x1p+0, 0x1p+0}, {0x1p+0, 0x1p+0}, {0x0p+0, 0x0p+0},
+       {0x1.8p+2, 0x1.8p+2}, {0x1.ep+3, 0x1.ep+3},
+       {6, 0, 13, 31, 0}},
+      {"gdp2", "parallel(4)", 4, 132608,
+       {0x1p+0, 0x1p+0}, {0x1p+0, 0x1p+0}, {0x0p+0, 0x0p+0},
+       {0x1.8p+2, 0x1.8p+2}, {0x1.ep+3, 0x1.ep+3},
+       {6, 0, 13, 31, 0}},
+  };
+  for (const QuantPin& pin : pins) {
+    SCOPED_TRACE(std::string(pin.algo) + " on " + pin.topology + " threads=" +
+                 std::to_string(pin.threads));
+    const graph::Topology t = pin_topology(pin.topology);
+    const auto algo = algos::make_algorithm(pin.algo);
+    CheckOptions copts;
+    copts.threads = pin.threads;
+    if (t.name() == graph::ring_with_pendant(3).name()) copts.max_states = 50'000;
+    const Model m = explore(*algo, t, copts);
+    ASSERT_EQ(m.num_states(), pin.states);
+    QuantOptions opts;
+    opts.threads = pin.threads;
+    const QuantResult r = analyze(m, ~std::uint64_t{0}, opts);
+    EXPECT_EQ(r.p_min, pin.p_min);
+    EXPECT_EQ(r.p_max, pin.p_max);
+    EXPECT_EQ(r.p_trap, pin.p_trap);
+    EXPECT_EQ(r.e_min, pin.e_min);
+    EXPECT_EQ(r.e_max, pin.e_max);
+    EXPECT_EQ(r.stats.p_max_sweeps, pin.sweeps[0]);
+    EXPECT_EQ(r.stats.p_min_sweeps, pin.sweeps[1]);
+    EXPECT_EQ(r.stats.e_min_sweeps, pin.sweeps[2]);
+    EXPECT_EQ(r.stats.e_max_sweeps, pin.sweeps[3]);
+    EXPECT_EQ(r.stats.p_trap_sweeps, pin.sweeps[4]);
+  }
+}
+
 }  // namespace
 }  // namespace gdp::mdp::quant
