@@ -116,13 +116,11 @@ int main(int argc, char** argv) {
   // If the checker found a fair no-progress trap, execute it.
   if (progress.verdict == mdp::Verdict::kProgressFails) {
     std::printf("\nSynthesizing the witness adversary and running it live...\n");
+    // Explored models are rooted (every state is reachable), so the first
+    // fair MEC is the trap.
     const auto mecs = mdp::maximal_end_components(model, ~std::uint64_t{0});
-    const auto reached = mdp::reachable_states(model);
     for (const auto& mec : mecs) {
       if (!mec.fair(model.num_phils())) continue;
-      bool reachable = false;
-      for (mdp::StateId s : mec.states) reachable = reachable || reached[s];
-      if (!reachable) continue;
       mdp::WitnessScheduler sched(model, index, mec);
       rng::Rng rng(7);
       sim::EngineConfig cfg;

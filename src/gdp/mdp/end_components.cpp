@@ -13,8 +13,4 @@ std::vector<EndComponent> maximal_end_components(const Model& model, std::uint64
   return detail::maximal_end_components_t(model, avoid_set);
 }
 
-std::vector<bool> reachable_states(const Model& model) {
-  return detail::reachable_states_t(model);
-}
-
 }  // namespace gdp::mdp

@@ -10,6 +10,8 @@
 //   "some fair adversary avoids eating forever (with prob. 1 once inside)"
 //       <=>  a reachable MEC of the non-E fragment has actions of ALL
 //            philosophers ("fair EC").
+// Models are rooted by construction (see Model), so every MEC is
+// reachable and any fair MEC is a witness: no check sweeps reachability.
 //
 // This is the mechanical core behind reproducing Theorems 1-4: LR1/LR2
 // exhibit reachable fair ECs exactly on the paper's counterexample
@@ -47,8 +49,5 @@ struct EndComponent {
 ///   * a singleton {i}   -> lockout-freedom of i: T_i --F-->_1 E_i
 std::vector<EndComponent> maximal_end_components(const Model& model,
                                                  std::uint64_t avoid_set = ~std::uint64_t{0});
-
-/// States reachable from the initial state (any adversary, any outcomes).
-std::vector<bool> reachable_states(const Model& model);
 
 }  // namespace gdp::mdp

@@ -1,7 +1,7 @@
-// Template definitions of the MEC decomposition and the reachability
-// sweep — the engine's only kernels for both — generalized over any type
-// exposing the Model read API (num_states/num_phils/initial/row/eaters/
-// frontier).
+// Template definition of the MEC decomposition — the engine's only MEC
+// kernel — generalized over any type exposing the Model read API
+// (num_states/num_phils/row/eaters/frontier). Models are rooted by
+// construction (see Model), so no reachability sweep accompanies it.
 //
 // Two instantiations exist on purpose: `Model` (end_components.cpp — the
 // contiguous in-RAM path) and `store::ChunkedModel` (store.cpp — the
@@ -276,27 +276,6 @@ std::vector<EndComponent> maximal_end_components_t(const ModelT& model, std::uin
     }
   }
   return mecs;
-}
-
-template <class ModelT>
-std::vector<bool> reachable_states_t(const ModelT& model) {
-  std::vector<bool> reached(model.num_states(), false);
-  std::vector<StateId> stack{model.initial()};
-  reached[model.initial()] = true;
-  while (!stack.empty()) {
-    const StateId s = stack.back();
-    stack.pop_back();
-    for (int p = 0; p < model.num_phils(); ++p) {
-      const auto [begin, end] = model.row(s, p);
-      for (const Outcome* o = begin; o != end; ++o) {
-        if (!reached[o->next]) {
-          reached[o->next] = true;
-          stack.push_back(o->next);
-        }
-      }
-    }
-  }
-  return reached;
 }
 
 }  // namespace gdp::mdp::detail

@@ -27,16 +27,20 @@ Model Model::build(int num_phils, std::vector<std::uint64_t> offsets,
   for (std::size_t r = 0; r + 1 < offsets.size(); ++r) {
     GDP_CHECK_MSG(offsets[r] <= offsets[r + 1], "Model::build: offsets not monotone at row " << r);
   }
+  detail::DiscoveryOrder order(n);
   for (StateId s = 0; s < n; ++s) {
-    if (!frontier[s]) continue;
     const std::size_t base = static_cast<std::size_t>(s) * static_cast<std::size_t>(num_phils);
-    GDP_CHECK_MSG(offsets[base] == offsets[base + static_cast<std::size_t>(num_phils)],
+    const Outcome* begin = outcomes.data() + offsets[base];
+    const Outcome* end = outcomes.data() + offsets[base + static_cast<std::size_t>(num_phils)];
+    GDP_CHECK_MSG(!frontier[s] || begin == end,
                   "Model::build: frontier state " << s << " must have empty rows");
-  }
-  for (const Outcome& o : outcomes) {
-    GDP_CHECK_MSG(o.next < n, "Model::build: outcome targets unknown state " << o.next);
-    GDP_CHECK_MSG(o.prob > 0.0f && o.prob <= 1.0f,
-                  "Model::build: outcome probability " << o.prob << " outside (0, 1]");
+    for (const Outcome* o = begin; o != end; ++o) {
+      GDP_CHECK_MSG(o->next < n, "Model::build: outcome targets unknown state " << o->next);
+      GDP_CHECK_MSG(o->prob > 0.0f && o->prob <= 1.0f,
+                    "Model::build: outcome probability " << o->prob << " outside (0, 1]");
+    }
+    GDP_CHECK_MSG(order.feed(begin, end),
+                  "Model::build: state " << s << " has no incoming outcome from a lower id");
   }
   // Rows must be distributions: the quantitative checker's soundness
   // arguments (clamps, OVI verification) assume (sub)stochastic rows.

@@ -24,8 +24,7 @@ std::string FairProgressResult::summary() const {
 }
 
 FairProgressResult check_fair_progress(const Model& model, std::uint64_t set_mask) {
-  return detail::verdict_from_mecs_t(model, set_mask, maximal_end_components(model, set_mask),
-                                     reachable_states(model));
+  return detail::verdict_from_mecs_t(model, set_mask, maximal_end_components(model, set_mask));
 }
 
 FairProgressResult check_lockout_freedom(const Model& model, PhilId victim) {

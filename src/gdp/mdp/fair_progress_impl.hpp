@@ -5,7 +5,6 @@
 // both paths because this is the one definition.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -14,10 +13,10 @@
 
 namespace gdp::mdp::detail {
 
+/// The witness is the first fair MEC (models are rooted, see Model).
 template <class ModelT>
 FairProgressResult verdict_from_mecs_t(const ModelT& model, std::uint64_t set_mask,
-                                       const std::vector<EndComponent>& mecs,
-                                       const std::vector<bool>& reached) {
+                                       const std::vector<EndComponent>& mecs) {
   FairProgressResult result;
   result.avoid_set = set_mask;
   result.num_states = model.num_states();
@@ -26,9 +25,7 @@ FairProgressResult verdict_from_mecs_t(const ModelT& model, std::uint64_t set_ma
   for (const EndComponent& mec : mecs) {
     if (!mec.fair(model.num_phils())) continue;
     ++result.num_fair_mecs;
-    const bool reachable = std::any_of(mec.states.begin(), mec.states.end(),
-                                       [&](StateId s) { return reached[s]; });
-    if (reachable && result.witness_size == 0) {
+    if (result.witness_size == 0) {
       result.witness_size = mec.states.size();
       result.witness_state = mec.states.front();
     }

@@ -17,10 +17,6 @@
 
 namespace gdp::mdp {
 
-namespace detail {
-class LevelExplorer;
-}  // namespace detail
-
 using StateId = std::uint32_t;
 
 struct Outcome {
@@ -28,8 +24,37 @@ struct Outcome {
   StateId next = 0;
 };
 
+namespace detail {
+
+class LevelExplorer;
+
+/// Streaming check of the discovery-order invariant (see Model), one bit
+/// per state: feed every state's outcomes (`next` range-checked) in
+/// ascending id order; feed() is false iff that state is an orphan.
+class DiscoveryOrder {
+ public:
+  explicit DiscoveryOrder(std::size_t num_states) : entered_(num_states, false) {}
+  bool feed(const Outcome* begin, const Outcome* end) {
+    const bool rooted = next_ == 0 || entered_[next_];
+    for (const Outcome* o = begin; o != end; ++o) entered_[o->next] = true;
+    ++next_;
+    return rooted;
+  }
+
+ private:
+  std::vector<bool> entered_;
+  std::size_t next_ = 0;
+};
+
+}  // namespace detail
+
 /// CSR-packed MDP. Row (state s, philosopher p) holds the probabilistic
 /// outcomes of scheduling p in s; every state has exactly `num_phils` rows.
+///
+/// Rooted by construction: state ids are a discovery order from
+/// `initial()` == 0 (every s > 0 has an incoming outcome from some u < s),
+/// so by induction every state is reachable and no check sweeps it. The
+/// explorers produce the order; build() and load_checkpoint enforce it.
 ///
 /// Limit: at most 64 philosophers. `eaters()` and every target/avoid set
 /// are single 64-bit masks (bit p = philosopher p); beyond 64 philosophers
@@ -68,8 +93,8 @@ class Model {
   /// unit tests feed 2-3-state systems with known values through this).
   /// `offsets` must have num_states * num_phils + 1 monotone entries ending
   /// at outcomes.size(); frontier states must have empty rows; every
-  /// outcome's `next` must be a valid state id. Throws PreconditionError on
-  /// violations.
+  /// outcome's `next` must be a valid state id; ids must be a discovery
+  /// order (see above). Throws PreconditionError on violations.
   static Model build(int num_phils, std::vector<std::uint64_t> offsets,
                      std::vector<Outcome> outcomes, std::vector<std::uint64_t> eaters,
                      std::vector<bool> frontier, bool truncated = false);

@@ -78,7 +78,7 @@ std::vector<QuantResult> analyze(const Model& model, const std::vector<std::uint
   for (const std::uint64_t target_set : targets) {
     GDP_CHECK_MSG(target_set != 0, "quant::analyze needs non-empty target sets");
   }
-  detail::SharedSweeps shared = detail::make_shared_sweeps(model);
+  detail::SharedSweeps shared;
   std::vector<QuantResult> results;
   results.reserve(targets.size());
   // Targets run in sequence (each one's sweeps already parallelize over the

@@ -66,9 +66,8 @@ inline constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Sentinels shared by node_of (state -> class) and dest (outcome target).
 inline constexpr std::uint32_t kGoal = 0xFFFFFFFFu;     // target terminal
 inline constexpr std::uint32_t kUnknown = 0xFFFFFFFEu;  // frontier terminal
-inline constexpr std::uint32_t kAbsent = 0xFFFFFFFDu;   // unreachable state (never referenced)
 
-inline bool is_node(std::uint32_t c) { return c < kAbsent; }
+inline bool is_node(std::uint32_t c) { return c < kUnknown; }
 
 /// Domains below this many elements (quotient nodes, or states for the
 /// state-level passes) run their sweeps and reductions inline: spawning the
@@ -102,10 +101,9 @@ inline double fold_max(const std::vector<double>& partial) {
 /// The MEC quotient of one fragment of the model (see file comment).
 struct Quotient {
   std::uint32_t num_nodes = 0;
-  std::uint32_t initial = kAbsent;  // class of model.initial()
+  std::uint32_t initial = kUnknown;  // class of model.initial()
 
-  std::vector<std::uint32_t> node_of;  // state -> node id / kGoal / kUnknown / kAbsent
-  std::vector<std::int32_t> mec_node;  // mec index -> node id (-1: no reachable member)
+  std::vector<std::uint32_t> node_of;  // state -> node id / kGoal / kUnknown
 
   // Node-major CSR of external actions.
   std::vector<std::size_t> act_off;  // num_nodes + 1
@@ -139,24 +137,25 @@ struct Quotient {
   }
 };
 
-/// Builds the quotient over the `reached` states. States matching
-/// `target_mask` eaters become the kGoal terminal when `target_terminal`
-/// (the reach-target quotients) and ordinary states otherwise (the p_trap
+/// Builds the quotient over every state (all reachable: see Model). States
+/// matching `target_mask` eaters become the kGoal terminal when
+/// `target_terminal` (the reach-target quotients) and ordinary states otherwise (the p_trap
 /// quotient, where meals are just states on the way); frontier states are
 /// always the kUnknown terminal. `mecs` must be the MEC decomposition of
 /// exactly this fragment (avoid_set == target_mask when target_terminal,
 /// avoid_set == 0 otherwise).
 template <class ModelT>
 Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& mecs,
-                        const std::vector<bool>& reached, std::uint64_t target_mask,
-                        bool target_terminal, const QuantOptions& options) {
+                        std::uint64_t target_mask, bool target_terminal,
+                        const QuantOptions& options) {
+  obs::Span span("quant.quotient");
   const std::size_t n = model.num_states();
   const int phils = model.num_phils();
   const int threads = phase_threads(n, options);
 
   Quotient q;
-  q.node_of.assign(n, kAbsent);
-  q.mec_node.assign(mecs.size(), -1);
+  q.node_of.resize(n);
+  std::vector<std::int32_t> mec_node(mecs.size(), -1);  // mec index -> node id
 
   // MEC membership per state (members are disjoint across MECs).
   std::vector<std::int32_t> mec_of(n, -1);
@@ -165,27 +164,24 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
   }
 
   // Class assignment: one ascending scan (deterministic node numbering).
-  auto classify = [&](StateId s) -> std::uint32_t {
-    if (target_terminal && (model.eaters(s) & target_mask) != 0) return kGoal;
-    if (model.frontier(s)) return kUnknown;
-    return kAbsent;  // a node; id assigned below
-  };
   for (StateId s = 0; s < n; ++s) {
-    if (!reached[s]) continue;
-    const std::uint32_t c = classify(s);
-    if (c != kAbsent) {
-      q.node_of[s] = c;
+    if (target_terminal && (model.eaters(s) & target_mask) != 0) {
+      q.node_of[s] = kGoal;
+      continue;
+    }
+    if (model.frontier(s)) {
+      q.node_of[s] = kUnknown;
       continue;
     }
     const std::int32_t m = mec_of[s];
     if (m >= 0) {
-      if (q.mec_node[m] < 0) q.mec_node[m] = static_cast<std::int32_t>(q.num_nodes++);
-      q.node_of[s] = static_cast<std::uint32_t>(q.mec_node[m]);
+      if (mec_node[m] < 0) mec_node[m] = static_cast<std::int32_t>(q.num_nodes++);
+      q.node_of[s] = static_cast<std::uint32_t>(mec_node[m]);
     } else {
       q.node_of[s] = q.num_nodes++;
     }
   }
-  q.initial = reached[model.initial()] ? q.node_of[model.initial()] : kAbsent;
+  q.initial = q.node_of[model.initial()];
 
   // External-action and outcome counts per state (parallel; disjoint writes).
   std::vector<std::uint32_t> act_count(n, 0), out_count(n, 0);
@@ -636,15 +632,11 @@ inline Interval make_interval(double lo, double hi) {
 }
 
 /// Target-independent state shared across the targets of one multi-target
-/// analyze() call: the reachable-state BFS up front, and the full-model
-/// pieces p_trap needs (MECs with avoid_set = 0 and the target_terminal =
-/// false quotient — build_quotient ignores the target mask there) built
-/// lazily on first demand, since targets with no fair avoiding MEC on a
-/// complete model never touch them.
+/// analyze() call: the full-model pieces p_trap needs (MECs with avoid_set
+/// = 0 and the target_terminal = false quotient — build_quotient ignores
+/// the target mask there), built lazily on first demand, since targets
+/// with no fair avoiding MEC on a complete model never touch them.
 struct SharedSweeps {
-  std::vector<bool> reached;
-  bool complete = false;
-
   bool full_built = false;
   std::vector<EndComponent> full_mecs;
   Quotient full_q;
@@ -653,24 +645,16 @@ struct SharedSweeps {
   void ensure_full(const ModelT& model, const QuantOptions& options) {
     if (full_built) return;
     full_mecs = mdp::detail::maximal_end_components_t(model, 0);
-    full_q = build_quotient(model, full_mecs, reached, /*target_mask=*/0,
-                            /*target_terminal=*/false, options);
+    full_q = build_quotient(model, full_mecs, /*target_mask=*/0, /*target_terminal=*/false,
+                            options);
     full_built = true;
   }
 };
 
-template <class ModelT>
-SharedSweeps make_shared_sweeps(const ModelT& model) {
-  SharedSweeps shared;
-  shared.complete = !model.truncated();
-  shared.reached = mdp::detail::reachable_states_t(model);
-  return shared;
-}
-
 /// The per-target core: everything in analyze() that depends on the target
-/// mask. Reads the target-independent sweeps from `shared` (building the
-/// full-model pieces lazily), so n targets cost one reachability BFS and at
-/// most one full MEC decomposition between them.
+/// mask. Reads the target-independent pieces from `shared` (building them
+/// lazily), so n targets cost at most one full MEC decomposition between
+/// them.
 template <class ModelT>
 QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
                         const QuantOptions& options, SharedSweeps& shared) {
@@ -680,8 +664,7 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
   result.num_states = model.num_states();
   result.epsilon = options.epsilon;
 
-  const bool complete = shared.complete;
-  const std::vector<bool>& reached = shared.reached;
+  const bool complete = !model.truncated();
 
   // MECs of the meal-free fragment, and which of them are fair traps.
   const std::vector<EndComponent> mecs =
@@ -694,13 +677,13 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
   }
 
   const Quotient fq =
-      build_quotient(model, mecs, reached, target_set, /*target_terminal=*/true, options);
+      build_quotient(model, mecs, target_set, /*target_terminal=*/true, options);
   result.num_quotient_nodes = fq.num_nodes;
 
   const std::vector<std::uint8_t> node_reach = fq.reachable_nodes();
   std::vector<std::uint8_t> fair_node(fq.num_nodes, 0);
   for (std::size_t m = 0; m < mecs.size(); ++m) {
-    if (fair_mec[m] && fq.mec_node[m] >= 0) fair_node[fq.mec_node[m]] = 1;
+    if (fair_mec[m]) fair_node[fq.node_of[mecs[m].states.front()]] = 1;
   }
   for (std::uint32_t i = 0; i < fq.num_nodes; ++i) {
     if (fair_node[i] && node_reach[i]) result.fair_trap_reachable = true;
@@ -708,7 +691,7 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
   if (is_node(fq.initial) && fair_node[fq.initial]) result.fair_trap_reachable = true;
 
   const bool initial_target = fq.initial == kGoal;
-  const bool initial_unknown = fq.initial == kUnknown || fq.initial == kAbsent;
+  const bool initial_unknown = fq.initial == kUnknown;
 
   bool all_converged = true;
   // One phase's bookkeeping: per-phase sweep slot, the running total, and
@@ -808,10 +791,10 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
     for (std::size_t m = 0; m < mecs.size(); ++m) {
       if (!fair_mec[m]) continue;
       for (const StateId s : mecs[m].states) {
-        if (reached[s] && is_node(full_q.node_of[s])) pins[full_q.node_of[s]] = 1.0;
+        if (is_node(full_q.node_of[s])) pins[full_q.node_of[s]] = 1.0;
       }
     }
-    if (full_q.initial == kUnknown || full_q.initial == kAbsent) {
+    if (full_q.initial == kUnknown) {
       result.p_trap = {0.0, 1.0};
       all_converged = false;
     } else {
@@ -852,7 +835,7 @@ QuantResult analyze_t(const ModelT& model, std::uint64_t target_set, const Quant
                 "quant::analyze: target masks are 64-bit, so at most 64 philosophers are "
                 "supported, got "
                     << model.num_phils());
-  SharedSweeps shared = make_shared_sweeps(model);
+  SharedSweeps shared;
   return analyze_one(model, target_set, options, shared);
 }
 

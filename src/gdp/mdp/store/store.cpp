@@ -356,7 +356,7 @@ ChunkedModel ChunkedModel::from_model(const Model& model, const KeyCodec& codec,
     }
 
     std::vector<std::uint64_t> payload;
-    payload.reserve(5 + count * n + 1 + num_outcomes + count + (count + 63) / 64 + count * kw);
+    payload.reserve(Chunk::layout_words(count, n, num_outcomes, kw));
     payload.push_back(first);
     payload.push_back(count);
     payload.push_back(n);
@@ -589,23 +589,62 @@ ChunkedModel ChunkedModel::load_checkpoint(const algos::Algorithm& algo, const g
 
   const std::size_t num_chunks = words[7];
   const std::uint64_t stored_model_fp = words[8];
+  // Every state takes at least one payload word (its eater mask), and every
+  // chunk two table words: bound both before either is used to index.
+  GDP_CHECK_MSG(num_chunks <= (total_words - kCheckpointHeaderWords) / 2 &&
+                    out.num_states_ <= total_words,
+                "store: " << path << " has an impossible chunk or state count");
   const std::uint64_t* sizes = words + kCheckpointHeaderWords;
   const std::uint64_t* fps = sizes + num_chunks;
   std::size_t cursor = kCheckpointHeaderWords + 2 * num_chunks;
 
   std::size_t states_seen = 0;
+  mdp::detail::DiscoveryOrder order(out.num_states_);
   out.chunks_.reserve(num_chunks);
   for (std::size_t ci = 0; ci < num_chunks; ++ci) {
-    GDP_CHECK_MSG(cursor + sizes[ci] <= total_words,
+    GDP_CHECK_MSG(sizes[ci] <= total_words - cursor,
                   "store: " << path << " truncated inside chunk " << ci);
     Chunk c = Chunk::view(words + cursor, sizes[ci]);
     StoreCounters::get().fingerprint_checks.increment();
     GDP_CHECK_MSG(c.fingerprint() == fps[ci],
                   "store: chunk " << ci << " of " << path << " fails its fingerprint (corrupt)");
     StoreCounters::get().chunks_loaded.increment();
+    // Structure, while the chunk's pages are hot from the fingerprint: a
+    // file with recomputed fingerprints must not lead any reader out of
+    // the chunk. count and num_outcomes are bounded by the payload length
+    // first, so the layout sum cannot overflow.
     GDP_CHECK_MSG(c.first() == states_seen && c.count() > 0 &&
+                      c.count() <= out.num_states_ - states_seen &&
                       c.num_phils() == out.num_phils_ && c.key_words() == codec.key_words(),
                   "store: chunk " << ci << " of " << path << " has an inconsistent header");
+    const std::size_t np = static_cast<std::size_t>(out.num_phils_);
+    GDP_CHECK_MSG(c.count() <= c.payload_words() && c.num_outcomes() <= c.payload_words() &&
+                      c.payload_words() == Chunk::layout_words(c.count(), np, c.num_outcomes(),
+                                                               c.key_words()),
+                  "store: chunk " << ci << " of " << path
+                                  << " has a payload length its header does not imply");
+    const std::uint64_t* offsets = c.offsets();
+    const std::size_t rows = c.count() * np;
+    GDP_CHECK_MSG(offsets[0] == 0 && offsets[rows] == c.num_outcomes(),
+                  "store: chunk " << ci << " of " << path
+                                  << " has offsets that do not span its outcomes");
+    for (std::size_t r = 0; r < rows; ++r) {
+      GDP_CHECK_MSG(offsets[r] <= offsets[r + 1],
+                    "store: chunk " << ci << " of " << path << " has offsets not monotone at row "
+                                    << r);
+    }
+    for (std::size_t local = 0; local < c.count(); ++local) {
+      const Outcome* begin = c.outcomes() + offsets[local * np];
+      const Outcome* end = c.outcomes() + offsets[(local + 1) * np];
+      for (const Outcome* o = begin; o != end; ++o) {
+        GDP_CHECK_MSG(o->next < out.num_states_, "store: chunk " << ci << " of " << path
+                                                                 << " targets unknown state "
+                                                                 << o->next);
+      }
+      GDP_CHECK_MSG(order.feed(begin, end), "store: " << path << " is not rooted: state "
+                                                      << c.first() + local
+                                                      << " has no incoming outcome from a lower id");
+    }
     states_seen += c.count();
     cursor += sizes[ci];
     out.chunks_.push_back(std::move(c));
@@ -665,10 +704,6 @@ ChunkedModel resume(const algos::Algorithm& algo, const graph::Topology& t,
 // truncated models keep the exact refusal semantics — without ever
 // materializing the contiguous CSR.
 
-std::vector<bool> reachable_states(const ChunkedModel& model) {
-  return mdp::detail::reachable_states_t(model);
-}
-
 std::vector<EndComponent> maximal_end_components(const ChunkedModel& model,
                                                  std::uint64_t avoid_set) {
   return mdp::detail::maximal_end_components_t(model, avoid_set);
@@ -676,8 +711,7 @@ std::vector<EndComponent> maximal_end_components(const ChunkedModel& model,
 
 FairProgressResult check_fair_progress(const ChunkedModel& model, std::uint64_t set_mask) {
   return mdp::detail::verdict_from_mecs_t(model, set_mask,
-                                          maximal_end_components(model, set_mask),
-                                          reachable_states(model));
+                                          maximal_end_components(model, set_mask));
 }
 
 quant::QuantResult analyze(const ChunkedModel& model, std::uint64_t target_set,

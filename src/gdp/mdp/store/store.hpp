@@ -17,11 +17,11 @@
 //
 //   * Read API — ChunkedModel mirrors the Model read interface
 //     (num_phils/num_states/eaters/eating/row/frontier/truncated/num_rows),
-//     so the MEC, reachability, verdict and quant kernel templates
-//     instantiate directly over it: store::reachable_states / maximal_end_components /
-//     check_fair_progress / analyze and store::resume run chunk-native,
-//     without materializing. materialize() still rebuilds a validated
-//     contiguous Model for callers that want one.
+//     so the MEC, verdict and quant kernel templates instantiate directly
+//     over it: store::maximal_end_components / check_fair_progress /
+//     analyze and store::resume run chunk-native, without materializing.
+//     materialize() still rebuilds a validated contiguous Model. State
+//     ids are a discovery order, as in Model; load_checkpoint() enforces it.
 //
 //   * Spill — spill() writes each chunk payload to its own file in
 //     StoreOptions::dir and remaps it read-only (mmap), dropping the heap
@@ -123,6 +123,13 @@ class Chunk {
   /// key_words() words per state, count() states.
   const std::uint64_t* key_run(std::size_t local) const {
     return frontier_words() + (count() + 63) / 64 + local * key_words();
+  }
+
+  /// Payload words (header included) of a chunk with this header.
+  static std::size_t layout_words(std::size_t count, std::size_t num_phils,
+                                  std::size_t num_outcomes, std::size_t key_words) {
+    return kHeaderWords + count * num_phils + 1 + num_outcomes + count + (count + 63) / 64 +
+           count * key_words;
   }
 
   /// The raw payload words (header included) — what fingerprint() hashes
@@ -288,8 +295,14 @@ class ChunkedModel {
   /// table + chunk payloads.
   void save_checkpoint(const std::string& path) const;
   /// Maps `path` read-only and verifies the header against (algo, t) and
-  /// every fingerprint against the payloads; throws PreconditionError on
-  /// any mismatch (corruption refusal). Chunks view the mapping zero-copy.
+  /// every fingerprint against the payloads. Each chunk's structure is
+  /// validated right after its fingerprint — payload length against the
+  /// layout its header implies, monotone offsets ending at its outcome
+  /// count, every `next` a valid state id — and its rows are fed to the
+  /// discovery-order check (see Model), so a file whose fingerprints were
+  /// recomputed still cannot make a reader leave its chunk. Throws
+  /// PreconditionError on any mismatch (corruption refusal). Chunks view
+  /// the mapping zero-copy.
   /// `options.chunk_states` comes from the file; `options.dir` and
   /// `options.max_resident_chunks` apply to the loaded model (the latter
   /// starts it cold — verification pages are dropped before returning).
@@ -346,8 +359,6 @@ ChunkedModel resume(const algos::Algorithm& algo, const graph::Topology& t,
 // (kUnknownTruncated / Certainty::kTruncated). Under a
 // max_resident_chunks budget the kernels page chunks in and out as they
 // sweep; verdicts are unaffected (eviction only drops clean pages).
-
-std::vector<bool> reachable_states(const ChunkedModel& model);
 
 std::vector<EndComponent> maximal_end_components(const ChunkedModel& model,
                                                  std::uint64_t avoid_set = ~std::uint64_t{0});

@@ -1,12 +1,19 @@
 // The model checker: exploration, end components, and the machine-checked
 // versions of the paper's four theorems on small instances.
 #include <gtest/gtest.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <vector>
 
 #include "gdp/common/check.hpp"
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/end_components.hpp"
 #include "gdp/mdp/fair_progress.hpp"
+#include "gdp/mdp/store/store.hpp"
 
 namespace gdp::mdp {
 namespace {
@@ -93,12 +100,104 @@ TEST(Explore, RequiresHungryMode) {
   EXPECT_THROW(explore(*algo, graph::classic_ring(3)), PreconditionError);
 }
 
+// --- Rootedness: state ids are a discovery order from the initial state.
+
+/// Oracle: states reachable from the initial state (any adversary, any
+/// outcomes), by DFS over the Model read API.
+template <class ModelT>
+std::vector<bool> reachable_states(const ModelT& model) {
+  std::vector<bool> reached(model.num_states(), false);
+  std::vector<StateId> stack{model.initial()};
+  reached[model.initial()] = true;
+  while (!stack.empty()) {
+    const StateId s = stack.back();
+    stack.pop_back();
+    for (int p = 0; p < model.num_phils(); ++p) {
+      const auto [begin, end] = model.row(s, p);
+      for (const Outcome* o = begin; o != end; ++o) {
+        if (!reached[o->next]) {
+          reached[o->next] = true;
+          stack.push_back(o->next);
+        }
+      }
+    }
+  }
+  return reached;
+}
+
+/// Oracle: the first state s > 0 whose lowest predecessor id is not below s
+/// (num_states() if state ids are a discovery order from state 0).
+template <class ModelT>
+std::size_t first_orphan(const ModelT& model) {
+  std::vector<std::size_t> lowest_pred(model.num_states(), model.num_states());
+  for (StateId u = 0; u < model.num_states(); ++u) {
+    for (int p = 0; p < model.num_phils(); ++p) {
+      const auto [begin, end] = model.row(u, p);
+      for (const Outcome* o = begin; o != end; ++o) {
+        lowest_pred[o->next] = std::min<std::size_t>(lowest_pred[o->next], u);
+      }
+    }
+  }
+  for (std::size_t s = 1; s < model.num_states(); ++s) {
+    if (lowest_pred[s] >= s) return s;
+  }
+  return model.num_states();
+}
+
+template <class ModelT>
+void expect_rooted(const ModelT& model, const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_GT(model.num_states(), 0u);
+  const auto reached = reachable_states(model);
+  EXPECT_EQ(std::count(reached.begin(), reached.end(), true),
+            static_cast<std::ptrdiff_t>(model.num_states()));
+  EXPECT_EQ(first_orphan(model), model.num_states());
+}
+
 TEST(Reachability, InitialAlwaysReachable) {
-  const Model m = explore_named("lr1", graph::classic_ring(3));
-  const auto reached = reachable_states(m);
-  EXPECT_TRUE(reached[m.initial()]);
-  // BFS-built models are reachable everywhere by construction.
-  for (StateId s = 0; s < m.num_states(); ++s) EXPECT_TRUE(reached[s]);
+  // Explored, capped, checkpoint-loaded and resumed models are all rooted
+  // by construction: every state is reachable and ids are a discovery order.
+  const std::string path = ::testing::TempDir() + "gdp_test_mdp_rooted_" +
+                           std::to_string(::getpid()) + ".gdpstore";
+  for (const char* name : {"lr1", "lr2", "gdp2"}) {
+    const auto algo = algos::make_algorithm(name);
+    for (const auto& t : {graph::classic_ring(3), graph::parallel_arcs(3)}) {
+      const std::string tag = std::string(name) + " on " + t.name();
+      const Model full = explore(*algo, t);
+      ASSERT_FALSE(full.truncated());
+      expect_rooted(full, tag + ", explored");
+
+      const store::ChunkedModel capped = store::explore(
+          *algo, t, {.chunk_states = 512}, {.max_states = full.num_states() / 2});
+      ASSERT_TRUE(capped.truncated());
+      expect_rooted(capped, tag + ", capped");
+      capped.save_checkpoint(path);
+      const auto loaded = store::ChunkedModel::load_checkpoint(*algo, t, path);
+      expect_rooted(loaded, tag + ", checkpoint-loaded");
+      const auto resumed = store::resume(*algo, t, loaded);
+      EXPECT_EQ(resumed.num_states(), full.num_states());
+      expect_rooted(resumed, tag + ", resumed");
+    }
+    const Model pendant = explore_named(name, graph::ring_with_pendant(3), 3'000);
+    ASSERT_TRUE(pendant.truncated());
+    expect_rooted(pendant, std::string(name) + " on ring+pendant(3), capped");
+  }
+  std::filesystem::remove(path);
+}
+
+/// A 3-state, 1-philosopher model with the given successor of each state.
+Model three_states(StateId next0, StateId next1, StateId next2) {
+  return Model::build(1, {0, 1, 2, 3}, {{1.0f, next0}, {1.0f, next1}, {1.0f, next2}}, {0, 0, 0},
+                      {false, false, false});
+}
+
+TEST(Reachability, ModelBuildRequiresDiscoveryOrder) {
+  EXPECT_NO_THROW(three_states(1, 2, 0));
+  // State 2 is unreachable: 0 <-> 1, 2 loops on itself.
+  EXPECT_THROW(three_states(1, 0, 2), PreconditionError);
+  // Rooted (0 -> 2 -> 1) but not discovery-ordered: s1 is reached only
+  // from s2.
+  EXPECT_THROW(three_states(2, 1, 1), PreconditionError);
 }
 
 TEST(EndComponents, OrderedBaselineDeadlockAppearsAsFairEc) {

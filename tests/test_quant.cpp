@@ -273,8 +273,8 @@ TEST(QuantDeterminism, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The multi-target entry point shares the reachability sweep and the
-// full-model MEC/quotient pieces across targets; every per-target result
+// The multi-target entry point shares the full-model MEC/quotient pieces
+// across targets; every per-target result
 // must still match the single-target call bit for bit — including the
 // sweep counters, which would drift if any shared piece leaked
 // target-dependent state.

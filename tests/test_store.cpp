@@ -284,6 +284,74 @@ TEST(Store, SpillAtConstructionMatchesExplicitSpill) {
 
 // --- corruption refusal ----------------------------------------------------
 
+/// A checkpoint file as 64-bit words, for forging: header (9 words), the
+/// per-chunk size and fingerprint tables, then the chunk payloads. reseal()
+/// recomputes a chunk's FNV-1a fingerprint the way a crafted file would,
+/// so only the loader's structure checks stand between it and the readers.
+class CheckpointForgery {
+ public:
+  explicit CheckpointForgery(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    words_.resize(std::filesystem::file_size(path) / sizeof(std::uint64_t));
+    in.read(reinterpret_cast<char*>(words_.data()),
+            static_cast<std::streamsize>(words_.size() * sizeof(std::uint64_t)));
+  }
+
+  std::size_t num_states() const { return words_[5]; }
+  std::size_t num_chunks() const { return words_[7]; }
+
+  /// Chunk ci's payload: first, count, num_phils, key_words, num_outcomes,
+  /// then the offsets and the outcome words.
+  std::uint64_t* chunk(std::size_t ci) {
+    std::size_t at = kHeader + 2 * num_chunks();
+    for (std::size_t i = 0; i < ci; ++i) at += words_[kHeader + i];
+    return words_.data() + at;
+  }
+  /// Chunk ci's outcomes, one word each: prob in the low half, next in the
+  /// high half.
+  std::uint64_t* outcomes(std::size_t ci) {
+    std::uint64_t* c = chunk(ci);
+    return c + 5 + c[1] * c[2] + 1;
+  }
+  static StateId next_of(std::uint64_t outcome) { return static_cast<StateId>(outcome >> 32); }
+  static std::uint64_t with_next(std::uint64_t outcome, std::uint64_t next) {
+    return (outcome & 0xFFFFFFFFu) | (next << 32);
+  }
+
+  void reseal(std::size_t ci) {
+    std::uint64_t h = 1469598103934665603ULL;
+    const std::uint64_t* c = chunk(ci);
+    for (std::size_t i = 0; i < words_[kHeader + ci]; ++i) {
+      for (int b = 0; b < 8; ++b) {
+        h ^= (c[i] >> (8 * b)) & 0xff;
+        h *= 1099511628211ULL;
+      }
+    }
+    words_[kHeader + num_chunks() + ci] = h;
+  }
+
+  void write(const std::string& path) const {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(words_.data()),
+              static_cast<std::streamsize>(words_.size() * sizeof(std::uint64_t)));
+  }
+
+ private:
+  static constexpr std::size_t kHeader = 9;
+  std::vector<std::uint64_t> words_;
+};
+
+/// Expects loading `path` to throw PreconditionError mentioning `why`.
+void expect_refused(const algos::Algorithm& algo, const graph::Topology& t,
+                    const std::string& path, const std::string& why) {
+  try {
+    (void)ChunkedModel::load_checkpoint(algo, t, path);
+    ADD_FAILURE() << "forged checkpoint loaded; expected a refusal mentioning '" << why << "'";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos) << e.what();
+  }
+}
+
 TEST(Store, CorruptedCheckpointIsRefused) {
   const ScratchDir scratch("corrupt");
   const auto algo = algos::make_algorithm("lr2");
@@ -319,6 +387,51 @@ TEST(Store, CorruptedCheckpointIsRefused) {
   model.save_checkpoint(path);
   EXPECT_THROW(ChunkedModel::load_checkpoint(*algo, graph::classic_ring(4), path),
                PreconditionError);
+
+  // Forgeries with recomputed chunk fingerprints are refused on structure.
+  // An outcome pointing past the last state:
+  {
+    CheckpointForgery forged(path);
+    std::uint64_t* o = forged.outcomes(0);
+    o[0] = CheckpointForgery::with_next(o[0], forged.num_states());
+    forged.reseal(0);
+    forged.write(path);
+    expect_refused(*algo, t, path, "targets unknown state");
+  }
+  // A header whose outcome count points eaters() and the key runs past the
+  // payload (the last chunk's, i.e. past the end of the file):
+  model.save_checkpoint(path);
+  {
+    CheckpointForgery forged(path);
+    const std::size_t last = forged.num_chunks() - 1;
+    forged.chunk(last)[4] += 1'000'000;
+    forged.reseal(last);
+    forged.write(path);
+    expect_refused(*algo, t, path, "payload length");
+  }
+  // An orphan: every outcome into the last state is redirected to state 0,
+  // so the last state has no incoming outcome from a lower id.
+  model.save_checkpoint(path);
+  {
+    CheckpointForgery forged(path);
+    const StateId last_state = static_cast<StateId>(forged.num_states() - 1);
+    std::size_t redirected = 0;
+    for (std::size_t ci = 0; ci < forged.num_chunks(); ++ci) {
+      std::uint64_t* o = forged.outcomes(ci);
+      bool touched = false;
+      for (std::size_t i = 0; i < forged.chunk(ci)[4]; ++i) {
+        if (CheckpointForgery::next_of(o[i]) != last_state) continue;
+        o[i] = CheckpointForgery::with_next(o[i], 0);
+        touched = true;
+        ++redirected;
+      }
+      if (touched) forged.reseal(ci);
+    }
+    ASSERT_GT(redirected, 0u);
+    forged.write(path);
+    expect_refused(*algo, t, path,
+                   "not rooted: state " + std::to_string(last_state) + " has no incoming");
+  }
 }
 
 // --- analysis bridges ------------------------------------------------------
@@ -331,10 +444,6 @@ TEST(Store, AnalysesMatchContiguousPathOnCompleteModels) {
   if (force_spill()) chunked.spill();
   const Model model = chunked.materialize();
   ASSERT_FALSE(model.truncated());
-
-  const auto reach_store = reachable_states(chunked);
-  const auto reach_direct = mdp::reachable_states(model);
-  EXPECT_EQ(reach_store, reach_direct);
 
   const auto mecs_store = maximal_end_components(chunked);
   const auto mecs_direct = mdp::maximal_end_components(model);

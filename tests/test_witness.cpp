@@ -13,15 +13,11 @@
 namespace gdp::mdp {
 namespace {
 
-/// Finds the first reachable fair EC of the non-eating fragment.
+/// Finds the first fair EC of the non-eating fragment (explored models are
+/// rooted, so every EC is reachable).
 std::optional<EndComponent> fair_witness(const Model& model) {
-  const auto mecs = maximal_end_components(model);
-  const auto reached = reachable_states(model);
-  for (const EndComponent& mec : mecs) {
-    if (!mec.fair(model.num_phils())) continue;
-    for (StateId s : mec.states) {
-      if (reached[s]) return mec;
-    }
+  for (const EndComponent& mec : maximal_end_components(model)) {
+    if (mec.fair(model.num_phils())) return mec;
   }
   return std::nullopt;
 }
