@@ -1,12 +1,16 @@
 // Microbenchmarks (google-benchmark) over the library's hot paths: RNG,
 // a single algorithm step, whole-engine simulation throughput, MDP
-// exploration rate at threads 1 and hw, the pool's per-call and per-index
-// cost and the π guarded-choice layer.
+// exploration rate at threads 1 and hw, MEC decomposition over each model
+// representation, the pool's per-call and per-index cost and the π
+// guarded-choice layer.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <filesystem>
+#include <string>
 #include <vector>
 
 #include "gdp/algos/algorithm.hpp"
@@ -14,6 +18,7 @@
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/end_components.hpp"
 #include "gdp/mdp/fair_progress.hpp"
+#include "gdp/mdp/store/store.hpp"
 #include "gdp/pi/guarded_choice.hpp"
 #include "gdp/rng/rng.hpp"
 #include "gdp/sim/engine.hpp"
@@ -144,23 +149,61 @@ void BM_FairProgressCheck(benchmark::State& state) {
 BENCHMARK(BM_FairProgressCheck)->Unit(benchmark::kMicrosecond);
 
 // The worklist MEC refinement on lr2/parallel(4) (complete, ~0.5M
-// candidate states). Arg: avoid set, 0 (every state is a candidate: the
-// full-model decomposition quant's p_trap needs) or 1 (all philosophers:
-// the progress verdict's meal-free fragment).
-void BM_MecDecompose(benchmark::State& state) {
-  static const mdp::Model model = [] {
-    const auto algo = algos::make_algorithm("lr2");
-    return mdp::explore(*algo, graph::parallel_arcs(4), {.max_states = 3'000'000});
-  }();
-  const std::uint64_t avoid = state.range(0) == 0 ? 0 : ~std::uint64_t{0};
-  for (auto _ : state) {
-    const auto mecs = mdp::maximal_end_components(model, avoid);
-    benchmark::DoNotOptimize(mecs.size());
-    state.counters["mecs"] = static_cast<double>(mecs.size());
-  }
-  state.counters["states"] = static_cast<double>(model.num_states());
+// candidate states). First arg: avoid set, 0 (every state is a candidate:
+// the full-model decomposition quant's p_trap needs) or 1 (all
+// philosophers: the progress verdict's meal-free fragment). Second arg:
+// the model's representation, 0 a contiguous Model, 1 an in-memory
+// store::ChunkedModel, 2 a spilled one (default chunk size, spill file
+// under the system temp dir) — the read-path gap ROADMAP item 6 weighs.
+mdp::store::ChunkedModel explore_chunked(bool spill) {
+  const auto algo = algos::make_algorithm("lr2");
+  mdp::store::StoreOptions options;
+  options.spill = spill;
+  options.dir = (std::filesystem::temp_directory_path() /
+                 ("gdp_bench_micro_" + std::to_string(::getpid())))
+                    .string();
+  auto model = mdp::store::explore(*algo, graph::parallel_arcs(4), options,
+                                   {.max_states = 3'000'000});
+  std::filesystem::remove_all(options.dir);  // a live mapping outlives its file
+  return model;
 }
-BENCHMARK(BM_MecDecompose)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
+void BM_MecDecompose(benchmark::State& state) {
+  const std::uint64_t avoid = state.range(0) == 0 ? 0 : ~std::uint64_t{0};
+  auto run = [&](const auto& model) {
+    for (auto _ : state) {
+      // Unqualified: argument-dependent lookup picks mdp:: or mdp::store::.
+      const auto mecs = maximal_end_components(model, avoid);
+      benchmark::DoNotOptimize(mecs.size());
+      state.counters["mecs"] = static_cast<double>(mecs.size());
+    }
+    state.counters["states"] = static_cast<double>(model.num_states());
+  };
+  switch (state.range(1)) {
+    case 0: {
+      static const mdp::Model model = [] {
+        const auto algo = algos::make_algorithm("lr2");
+        return mdp::explore(*algo, graph::parallel_arcs(4), {.max_states = 3'000'000});
+      }();
+      run(model);
+      break;
+    }
+    case 1: {
+      static const mdp::store::ChunkedModel model = explore_chunked(false);
+      run(model);
+      break;
+    }
+    default: {
+      static const mdp::store::ChunkedModel model = explore_chunked(true);
+      run(model);
+      break;
+    }
+  }
+}
+BENCHMARK(BM_MecDecompose)
+    ->ArgsProduct({{0, 1}, {0, 1, 2}})
+    ->ArgNames({"avoid", "repr"})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_GuardedChoice(benchmark::State& state) {
   const auto t = graph::classic_ring(4);

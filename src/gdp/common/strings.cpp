@@ -35,4 +35,26 @@ std::string percent(double fraction) {
   return format_double(fraction * 100.0, 1) + "%";
 }
 
+void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char ch : s) {
+    switch (ch) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      case '\r': out += "\\r"; break;
+      default:
+        if (static_cast<unsigned char>(ch) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x", static_cast<unsigned>(ch));
+          out += buf;
+        } else {
+          out += ch;
+        }
+    }
+  }
+  out += '"';
+}
+
 }  // namespace gdp

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace gdp {
@@ -21,5 +22,9 @@ std::string fork_name(int id);
 
 /// Percentage with one decimal, e.g. 0.2503 -> "25.0%".
 std::string percent(double fraction);
+
+/// Appends `s` to `out` as a quoted JSON string: `"` and `\` escaped,
+/// \n \t \r by name, other control characters as \u00XX.
+void append_json_string(std::string& out, std::string_view s);
 
 }  // namespace gdp

@@ -94,28 +94,6 @@ stats::Interval CellAggregate::deadlock_ci(double z) const {
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (unsigned char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
 std::string u64(std::uint64_t v) { return std::to_string(v); }
 
 void write_text(const std::string& path, const std::string& text) {
@@ -175,12 +153,15 @@ std::string CampaignResult::json() const {
            ",\"sem\":" + format_double(s.sem(), 6) + ",\"min\":" + format_double(s.min(), 3) +
            ",\"max\":" + format_double(s.max(), 3) + "}";
   };
-  std::string out = "{\"campaign\":\"" + json_escape(name) + "\",\"seed\":" + u64(seed) +
-                    ",\"trials_per_cell\":" + std::to_string(trials_per_cell) + ",\"cells\":[";
+  std::string out = "{\"campaign\":";
+  append_json_string(out, name);
+  out += ",\"seed\":" + u64(seed) + ",\"trials_per_cell\":" + std::to_string(trials_per_cell) +
+         ",\"cells\":[";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CellAggregate& c = cells[i];
     if (i != 0) out += ',';
-    out += "{\"index\":" + u64(c.cell().index) + ",\"label\":\"" + json_escape(c.label()) + "\"";
+    out += "{\"index\":" + u64(c.cell().index) + ",\"label\":";
+    append_json_string(out, c.label());
     if (c.skipped()) {
       out += ",\"skipped\":true}";
       continue;

@@ -5,11 +5,14 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <numeric>
+#include <type_traits>
 
 #include "gdp/common/check.hpp"
 #include "gdp/mdp/end_components_impl.hpp"
@@ -54,6 +57,8 @@ static_assert(sizeof(Outcome) == sizeof(std::uint64_t) && alignof(Outcome) <= al
                   std::is_trivially_copyable_v<Outcome>,
               "Outcome must be one trivially-copyable 64-bit word");
 
+static_assert(std::is_trivially_copyable_v<Chunk>, "a Chunk is a view: it owns nothing");
+
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
 constexpr std::uint64_t kCheckpointMagic = 0x47445053544f5231ULL;  // "GDPSTOR1"
@@ -75,20 +80,10 @@ std::uint64_t fnv1a_words(const std::uint64_t* words, std::size_t count) {
   return h;
 }
 
-/// Writes `words` 64-bit words to `path` (overwrite). Throws on I/O errors.
-void write_file(const std::string& path, const std::uint64_t* words, std::size_t count) {
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  GDP_CHECK_MSG(f != nullptr, "store: cannot open " << path << " for writing: "
-                                                    << std::strerror(errno));
-  const std::size_t written = std::fwrite(words, sizeof(std::uint64_t), count, f);
-  const int close_rc = std::fclose(f);
-  GDP_CHECK_MSG(written == count && close_rc == 0,
-                "store: short write to " << path << " (" << written << "/" << count << " words)");
-}
-
-/// Maps `path` read-only. Returns (address, bytes); address is
-/// 64-bit-aligned (page-aligned). Throws on I/O errors or empty files.
-std::pair<void*, std::size_t> map_file(const std::string& path) {
+/// Maps `path` read-only — the one mapper, shared by load_checkpoint()
+/// and spill(). The address is page-aligned (so 64-bit-aligned). Throws on
+/// I/O errors, empty files and files that are not a whole number of words.
+detail::FileMap map_file(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
   GDP_CHECK_MSG(fd >= 0, "store: cannot open " << path << ": " << std::strerror(errno));
   struct stat st{};
@@ -98,19 +93,18 @@ std::pair<void*, std::size_t> map_file(const std::string& path) {
     GDP_CHECK_MSG(false, "store: " << path << " is empty or not a whole number of words");
   }
   const std::size_t bytes = static_cast<std::size_t>(st.st_size);
-  // The store is the repo's one blessed mmap site: spilled chunks and
+  // The store is the repo's one blessed mmap site: spilled models and
   // checkpoints reload on demand through page faults instead of heap reads.
-  // gdp-lint: allow(raw-mmap) — read-only spill/checkpoint mapping, unmapped by the owning Chunk/ChunkedModel
+  // gdp-lint: allow(raw-mmap) — read-only spill/checkpoint mapping, unmapped by detail::Unmap
   void* addr = ::mmap(nullptr, bytes, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);  // the mapping keeps its own reference
   GDP_CHECK_MSG(addr != MAP_FAILED, "store: mmap of " << path << " failed: "
                                                       << std::strerror(errno));
-  return {addr, bytes};
+  return detail::FileMap(static_cast<const std::uint64_t*>(addr), detail::Unmap{bytes});
 }
 
-void unmap(void* addr, std::size_t bytes) {
-  // gdp-lint: allow(raw-mmap) — paired teardown of map_file's mapping
-  if (addr != nullptr && addr != MAP_FAILED) ::munmap(addr, bytes);
+std::span<const std::uint64_t> mapped_words(const detail::FileMap& file) {
+  return {file.get(), file.get_deleter().bytes / sizeof(std::uint64_t)};
 }
 
 void ensure_dir(const std::string& dir) {
@@ -121,15 +115,11 @@ void ensure_dir(const std::string& dir) {
   }
 }
 
-/// Spill files are prefixed with a process-unique per-model sequence
-/// number so several models can share one spill dir without clobbering
-/// each other's still-mapped chunk files (an overwrite under a live
+/// Spill files are named with a process-unique sequence number (a model
+/// spills at most once) so several models can share one spill dir without
+/// clobbering each other's still-mapped files (an overwrite under a live
 /// MAP_PRIVATE mapping silently changes not-yet-faulted pages).
 std::atomic<std::uint64_t> g_spill_seq{0};
-
-std::string chunk_path(const std::string& dir, std::uint64_t seq, std::size_t i) {
-  return dir + "/m" + std::to_string(seq) + "_chunk_" + std::to_string(i) + ".gdpstore";
-}
 
 }  // namespace
 
@@ -137,83 +127,61 @@ std::string chunk_path(const std::string& dir, std::uint64_t seq, std::size_t i)
 // Chunk
 // ---------------------------------------------------------------------------
 
-Chunk& Chunk::operator=(Chunk&& rhs) noexcept {
-  if (this != &rhs) {
-    release();
-    payload_ = rhs.payload_;
-    payload_words_ = rhs.payload_words_;
-    owned_ = std::move(rhs.owned_);
-    mapped_ = rhs.mapped_;
-    mapped_bytes_ = rhs.mapped_bytes_;
-    if (!owned_.empty()) payload_ = owned_.data();
-    rhs.payload_ = nullptr;
-    rhs.payload_words_ = 0;
-    rhs.mapped_ = nullptr;
-    rhs.mapped_bytes_ = 0;
-  }
-  return *this;
-}
-
-void Chunk::release() {
-  unmap(mapped_, mapped_bytes_);
-  mapped_ = nullptr;
-  mapped_bytes_ = 0;
-  owned_.clear();
-  payload_ = nullptr;
-  payload_words_ = 0;
-}
-
-Chunk Chunk::own(std::vector<std::uint64_t> payload) {
-  GDP_CHECK_MSG(payload.size() >= kHeaderWords, "store: chunk payload shorter than its header");
-  Chunk c;
-  c.owned_ = std::move(payload);
-  c.payload_ = c.owned_.data();
-  c.payload_words_ = c.owned_.size();
-  return c;
-}
-
-Chunk Chunk::view(const std::uint64_t* payload, std::size_t words) {
-  GDP_CHECK_MSG(payload != nullptr && words >= kHeaderWords,
-                "store: chunk view shorter than its header");
-  Chunk c;
-  c.payload_ = payload;
-  c.payload_words_ = words;
-  return c;
-}
-
-const Outcome* Chunk::outcomes() const {
+Chunk::Chunk(const std::uint64_t* payload, std::size_t words)
+    : payload_(payload), payload_words_(words) {
+  GDP_DCHECK(words >= kHeaderWords &&
+             words == layout_words(count(), static_cast<std::size_t>(num_phils()),
+                                   num_outcomes(), key_words()));
+  offsets_ = payload_ + kHeaderWords;
+  const std::uint64_t* outcome_words =
+      offsets_ + count() * static_cast<std::size_t>(num_phils()) + 1;
   // The payload stores each Outcome's object representation in one word
   // (see the static_assert above); viewing the words as Outcomes is the
   // same-machine inverse of the bit_cast that wrote them.
-  return reinterpret_cast<const Outcome*>(outcome_words());
+  outcomes_ = reinterpret_cast<const Outcome*>(outcome_words);
+  eaters_ = outcome_words + num_outcomes();
+  frontier_ = eaters_ + count();
+  keys_ = frontier_ + (count() + 63) / 64;
+}
+
+Chunk::Chunk(const Chunk& chunk, const std::uint64_t* payload) : Chunk(chunk) {
+  auto moved = [&](const std::uint64_t* section) { return payload + (section - chunk.payload_); };
+  payload_ = payload;
+  offsets_ = moved(chunk.offsets_);
+  outcomes_ = reinterpret_cast<const Outcome*>(
+      moved(reinterpret_cast<const std::uint64_t*>(chunk.outcomes_)));
+  eaters_ = moved(chunk.eaters_);
+  frontier_ = moved(chunk.frontier_);
+  keys_ = moved(chunk.keys_);
 }
 
 std::uint64_t Chunk::fingerprint() const { return fnv1a_words(payload_, payload_words_); }
 
-void Chunk::spill_to(const std::string& path) {
-  if (spilled()) return;
-  GDP_CHECK_MSG(!owned_.empty(), "store: cannot spill a view chunk (its checkpoint owns the bytes)");
-  write_file(path, owned_.data(), owned_.size());
-  const auto [addr, bytes] = map_file(path);
-  if (bytes != owned_.size() * sizeof(std::uint64_t)) {
-    unmap(addr, bytes);
-    GDP_CHECK_MSG(false, "store: " << path << " changed size during spill");
-  }
-  mapped_ = addr;
-  mapped_bytes_ = bytes;
-  payload_ = static_cast<const std::uint64_t*>(addr);
-  std::vector<std::uint64_t>().swap(owned_);  // actually free the heap copy
+// ---------------------------------------------------------------------------
+// detail::Unmap, detail::Residency
+// ---------------------------------------------------------------------------
+
+namespace detail {
+
+void Unmap::operator()(const std::uint64_t* words) const {
+  // gdp-lint: allow(raw-mmap) — paired teardown of map_file's mapping
+  ::munmap(const_cast<std::uint64_t*>(words), bytes);
 }
 
-void Chunk::drop_pages() const {
-  if (!file_backed()) return;
-  // A view chunk sits inside a larger checkpoint mapping, so only whole
-  // pages fully inside this payload may be dropped — the edge pages are
-  // shared with the neighboring chunks' payloads (a spilled chunk owns its
-  // whole page-aligned mapping, and the rounding below keeps it intact).
+Residency::Residency(const FileMap& file, std::size_t num_chunks, std::size_t budget)
+    : file_(mapped_words(file)), budget_(budget == 0 ? 1 : budget), stamps_(num_chunks) {
+  drop_pages(file_);
+}
+
+void Residency::drop_pages(std::span<const std::uint64_t> words) const {
+  GDP_CHECK_MSG(words.data() >= file_.data() &&
+                    words.data() + words.size() <= file_.data() + file_.size(),
+                "store: page drop outside the model's file mapping");
+  // Only whole pages fully inside the range may be dropped — a chunk's edge
+  // pages are shared with its neighbors' payloads.
   const auto page = static_cast<std::uintptr_t>(::sysconf(_SC_PAGESIZE));
-  std::uintptr_t lo = reinterpret_cast<std::uintptr_t>(payload_);
-  std::uintptr_t hi = lo + payload_bytes();
+  std::uintptr_t lo = reinterpret_cast<std::uintptr_t>(words.data());
+  std::uintptr_t hi = lo + words.size_bytes();
   lo = (lo + page - 1) & ~(page - 1);
   hi &= ~(page - 1);
   if (lo >= hi) return;
@@ -224,23 +192,10 @@ void Chunk::drop_pages() const {
   ::madvise(reinterpret_cast<void*>(lo), hi - lo, MADV_DONTNEED);
 }
 
-// ---------------------------------------------------------------------------
-// detail::Residency
-// ---------------------------------------------------------------------------
-
-namespace detail {
-
 void Residency::fault(const std::vector<Chunk>& chunks, std::size_t idx) {
   common::MutexLock lock(mu_);
   // Raced with another faulting reader: it already paid for this chunk.
   if (stamps_[idx].load(std::memory_order_relaxed) != 0) return;
-
-  // Heap-owned chunks never page out; stamp them hot once so the fast path
-  // short-circuits forever, without charging them to the budget.
-  if (!chunks[idx].file_backed()) {
-    stamps_[idx].store(++epoch_, std::memory_order_relaxed);
-    return;
-  }
 
   // Evict min-stamp (least-recently-faulted) victims until the newcomer
   // fits. The linear scan is fine: faults are rare by design and chunk
@@ -249,7 +204,6 @@ void Residency::fault(const std::vector<Chunk>& chunks, std::size_t idx) {
     std::size_t victim = stamps_.size();
     std::uint64_t oldest = ~std::uint64_t{0};
     for (std::size_t i = 0; i < stamps_.size(); ++i) {
-      if (!chunks[i].file_backed()) continue;
       const std::uint64_t stamp = stamps_[i].load(std::memory_order_relaxed);
       if (stamp != 0 && stamp < oldest) {
         oldest = stamp;
@@ -258,7 +212,7 @@ void Residency::fault(const std::vector<Chunk>& chunks, std::size_t idx) {
     }
     if (victim == stamps_.size()) break;  // accounting drift would spin forever
     stamps_[victim].store(0, std::memory_order_relaxed);
-    chunks[victim].drop_pages();
+    drop_pages(chunks[victim].payload());
     --hot_count_;
     hot_bytes_ -= chunks[victim].payload_bytes();
     StoreCounters::get().chunk_evictions.increment();
@@ -279,16 +233,6 @@ void Residency::fault(const std::vector<Chunk>& chunks, std::size_t idx) {
       obs::Registry::global().gauge("store.resident_bytes", obs::Plane::kTiming);
   resident_chunks.set(hot_count_);
   resident_bytes.set(hot_bytes_);
-}
-
-void Residency::reset_cold(const std::vector<Chunk>& chunks) {
-  common::MutexLock lock(mu_);
-  for (std::size_t i = 0; i < stamps_.size(); ++i) {
-    stamps_[i].store(0, std::memory_order_relaxed);
-    if (chunks[i].file_backed()) chunks[i].drop_pages();
-  }
-  hot_count_ = 0;
-  hot_bytes_ = 0;
 }
 
 std::size_t Residency::hot_bytes() const {
@@ -329,7 +273,6 @@ ChunkedModel ChunkedModel::from_model(const Model& model, const KeyCodec& codec,
   }
 
   ChunkedModel out;
-  out.spill_seq_ = g_spill_seq.fetch_add(1, std::memory_order_relaxed);
   out.num_phils_ = model.num_phils();
   out.num_states_ = model.num_states();
   out.chunk_states_ = options.chunk_states;
@@ -341,71 +284,89 @@ ChunkedModel ChunkedModel::from_model(const Model& model, const KeyCodec& codec,
   const std::size_t kw = codec.key_words();
   const std::size_t num_chunks =
       (model.num_states() + out.chunk_states_ - 1) / out.chunk_states_;
+  auto count_of = [&](std::size_t ci) {
+    return std::min(out.chunk_states_, model.num_states() - ci * out.chunk_states_);
+  };
+  // The model's rows are one contiguous CSR run, so a chunk's outcomes are
+  // the span from its first row's begin to its last row's end.
+  auto rows_of = [&](std::size_t ci) {
+    const std::size_t first = ci * out.chunk_states_;
+    const std::size_t last = first + count_of(ci) - 1;
+    return std::pair{model.row(static_cast<StateId>(first), 0).first,
+                     model.row(static_cast<StateId>(last), static_cast<int>(n) - 1).second};
+  };
+
+  // Size every chunk first: a heap body is allocated once, and a spill
+  // file's size table precedes the payloads.
+  std::vector<std::uint64_t> sizes(num_chunks);
+  for (std::size_t ci = 0; ci < num_chunks; ++ci) {
+    const auto [begin, end] = rows_of(ci);
+    sizes[ci] = Chunk::layout_words(count_of(ci), n, static_cast<std::size_t>(end - begin), kw);
+  }
   out.chunks_.reserve(num_chunks);
 
-  for (std::size_t ci = 0; ci < num_chunks; ++ci) {
+  // Lays chunk ci's payload out at `w` and appends its view.
+  auto encode = [&](std::size_t ci, std::uint64_t* w) {
     const std::size_t first = ci * out.chunk_states_;
-    const std::size_t count = std::min(out.chunk_states_, model.num_states() - first);
-
-    std::size_t num_outcomes = 0;
-    for (std::size_t s = first; s < first + count; ++s) {
-      for (std::size_t p = 0; p < n; ++p) {
-        const auto [lo, hi] = model.row(static_cast<StateId>(s), static_cast<int>(p));
-        num_outcomes += static_cast<std::size_t>(hi - lo);
-      }
-    }
-
-    std::vector<std::uint64_t> payload;
-    payload.reserve(Chunk::layout_words(count, n, num_outcomes, kw));
-    payload.push_back(first);
-    payload.push_back(count);
-    payload.push_back(n);
-    payload.push_back(kw);
-    payload.push_back(num_outcomes);
+    const std::size_t count = count_of(ci);
+    const auto [begin, end] = rows_of(ci);
+    std::uint64_t* const payload = w;
+    *w++ = first;
+    *w++ = count;
+    *w++ = n;
+    *w++ = kw;
+    *w++ = static_cast<std::uint64_t>(end - begin);
 
     // Chunk-local CSR offsets, then the rows (global next ids).
-    std::vector<std::uint64_t> outcome_words;
-    outcome_words.reserve(num_outcomes);
-    payload.push_back(0);
-    const std::size_t offsets_at = payload.size() - 1;
+    *w++ = 0;
     for (std::size_t s = first; s < first + count; ++s) {
       for (std::size_t p = 0; p < n; ++p) {
-        const auto [lo, hi] = model.row(static_cast<StateId>(s), static_cast<int>(p));
-        for (const Outcome* o = lo; o != hi; ++o) {
-          outcome_words.push_back(std::bit_cast<std::uint64_t>(*o));
-        }
-        payload.push_back(outcome_words.size());
+        *w++ = static_cast<std::uint64_t>(
+            model.row(static_cast<StateId>(s), static_cast<int>(p)).second - begin);
       }
     }
-    GDP_CHECK_MSG(payload.size() - offsets_at == count * n + 1,
-                  "store: chunk " << ci << " offset table has the wrong shape");
-    payload.insert(payload.end(), outcome_words.begin(), outcome_words.end());
+    for (const Outcome* o = begin; o != end; ++o) *w++ = std::bit_cast<std::uint64_t>(*o);
 
     for (std::size_t s = first; s < first + count; ++s) {
-      payload.push_back(model.eaters(static_cast<StateId>(s)));
+      *w++ = model.eaters(static_cast<StateId>(s));
     }
 
-    std::vector<std::uint64_t> frontier_words((count + 63) / 64, 0);
+    // Frontier bits, packed 64 per word.
+    const std::size_t frontier_words = (count + 63) / 64;
+    std::fill(w, w + frontier_words, 0);
     for (std::size_t s = first; s < first + count; ++s) {
       if (model.frontier(static_cast<StateId>(s))) {
-        frontier_words[(s - first) >> 6] |= std::uint64_t{1} << ((s - first) & 63);
+        w[(s - first) >> 6] |= std::uint64_t{1} << ((s - first) & 63);
       }
     }
-    payload.insert(payload.end(), frontier_words.begin(), frontier_words.end());
+    w += frontier_words;
 
     const auto key_run = keys.subspan(first * kw, count * kw);
-    payload.insert(payload.end(), key_run.begin(), key_run.end());
+    GDP_DCHECK(static_cast<std::size_t>(w - payload) + key_run.size() == sizes[ci]);
+    std::copy(key_run.begin(), key_run.end(), w);
 
     StoreCounters::get().chunks_written.increment();
-    StoreCounters::get().chunk_bytes.add(payload.size() * sizeof(std::uint64_t));
-    out.chunks_.push_back(Chunk::own(std::move(payload)));
-  }
+    StoreCounters::get().chunk_bytes.add(sizes[ci] * sizeof(std::uint64_t));
+    out.chunks_.emplace_back(payload, sizes[ci]);
+  };
 
-  if (out.options_.max_resident_chunks > 0) {
-    out.residency_ = std::make_unique<detail::Residency>(out.chunks_.size(),
-                                                         out.options_.max_resident_chunks);
+  if (out.options_.spill) {
+    // Straight to the spill file, one chunk at a time through a reused
+    // buffer: the model never has a heap body.
+    std::vector<std::uint64_t> scratch(*std::max_element(sizes.begin(), sizes.end()));
+    out.spill_file(sizes, [&](std::size_t ci) {
+      encode(ci, scratch.data());
+      return std::span<const std::uint64_t>(scratch.data(), sizes[ci]);
+    });
+  } else {
+    out.heap_.resize(std::accumulate(sizes.begin(), sizes.end(), std::size_t{0}));
+    std::uint64_t* w = out.heap_.data();
+    for (std::size_t ci = 0; ci < num_chunks; ++ci) {
+      encode(ci, w);
+      w += sizes[ci];
+    }
+    out.body_ = out.heap_;
   }
-  if (out.options_.spill) out.spill();
   return out;
 }
 
@@ -456,52 +417,99 @@ std::uint64_t ChunkedModel::fingerprint() const {
 }
 
 std::size_t ChunkedModel::resident_bytes() const {
-  std::size_t bytes = 0;
-  if (residency_ != nullptr) {
-    // Budgeted: heap chunks plus whatever file-backed payload is hot.
-    for (const Chunk& c : chunks_) {
-      if (!c.file_backed()) bytes += c.payload_bytes();
-    }
-    return bytes + residency_->hot_bytes();
-  }
-  // Unbounded (historical accounting): everything except spilled chunks —
-  // a fully spilled model reads 0.
-  for (const Chunk& c : chunks_) {
-    if (!c.spilled()) bytes += c.payload_bytes();
-  }
-  return bytes;
+  if (file_ == nullptr) return body_.size_bytes();
+  if (residency_ != nullptr) return residency_->hot_bytes();
+  return spilled_ ? 0 : body_.size_bytes();
 }
 
 std::size_t ChunkedModel::peak_resident_bytes() const {
-  if (residency_ == nullptr) return resident_bytes();
-  std::size_t bytes = 0;
-  for (const Chunk& c : chunks_) {
-    if (!c.file_backed()) bytes += c.payload_bytes();
-  }
-  return bytes + residency_->peak_bytes();
+  return residency_ != nullptr ? residency_->peak_bytes() : resident_bytes();
 }
 
-std::size_t ChunkedModel::spilled_bytes() const {
-  std::size_t bytes = 0;
-  for (const Chunk& c : chunks_) {
-    if (c.spilled()) bytes += c.payload_words() * sizeof(std::uint64_t);
+std::size_t ChunkedModel::spilled_bytes() const { return spilled_ ? body_.size_bytes() : 0; }
+
+void ChunkedModel::write_file(const std::string& path, std::span<const std::uint64_t> sizes,
+                              bool seal, const PayloadSource& payload) const {
+  std::vector<std::uint64_t> head = {kCheckpointMagic,
+                                     kCheckpointVersion,
+                                     static_cast<std::uint64_t>(num_phils_),
+                                     codec_.key_words(),
+                                     chunk_states_,
+                                     num_states_,
+                                     truncated_ ? std::uint64_t{1} : 0,
+                                     sizes.size(),
+                                     seal ? fingerprint() : 0};
+  head.insert(head.end(), sizes.begin(), sizes.end());
+  for (std::size_t ci = 0; ci < sizes.size(); ++ci) {
+    head.push_back(seal ? chunks_[ci].fingerprint() : 0);
   }
-  return bytes;
+
+  // Few large, aligned writes let the page cache hold the file in large
+  // folios, so a chunk evicted under a residency budget refaults in a few
+  // faults; chunk-sized writes made bounded sweeps ~2x slower on ext4.
+  std::vector<char> buffer(std::size_t{4} << 20);  // outlives `f`
+  auto close = [](std::FILE* file) { std::fclose(file); };  // on a throwing `payload`
+  std::unique_ptr<std::FILE, decltype(close)> f(std::fopen(path.c_str(), "wb"), close);
+  GDP_CHECK_MSG(f != nullptr, "store: cannot open " << path << " for writing: "
+                                                    << std::strerror(errno));
+  std::setvbuf(f.get(), buffer.data(), _IOFBF, buffer.size());
+  std::size_t written = std::fwrite(head.data(), sizeof(std::uint64_t), head.size(), f.get());
+  for (std::size_t ci = 0; ci < sizes.size(); ++ci) {
+    const std::span<const std::uint64_t> words = payload(ci);
+    written += std::fwrite(words.data(), sizeof(std::uint64_t), words.size(), f.get());
+  }
+  const int close_rc = std::fclose(f.release());
+  const std::size_t expected = std::accumulate(sizes.begin(), sizes.end(), head.size());
+  GDP_CHECK_MSG(written == expected && close_rc == 0,
+                "store: short write to " << path << " (" << written << "/" << expected
+                                         << " words)");
+}
+
+std::vector<std::uint64_t> ChunkedModel::chunk_sizes() const {
+  std::vector<std::uint64_t> sizes;
+  sizes.reserve(chunks_.size());
+  for (const Chunk& c : chunks_) sizes.push_back(c.payload().size());
+  return sizes;
+}
+
+void ChunkedModel::adopt_file(detail::FileMap file) {
+  body_ = mapped_words(file).subspan(kCheckpointHeaderWords + 2 * chunks_.size());
+  file_ = std::move(file);
+  std::vector<std::uint64_t>().swap(heap_);  // actually free a heap body
+  if (options_.max_resident_chunks > 0) {
+    residency_ =
+        std::make_unique<detail::Residency>(file_, chunks_.size(), options_.max_resident_chunks);
+  }
 }
 
 void ChunkedModel::spill() {
+  if (file_ != nullptr) return;
+  spill_file(chunk_sizes(), [this](std::size_t ci) { return chunks_[ci].payload(); });
+}
+
+void ChunkedModel::spill_file(std::span<const std::uint64_t> sizes, const PayloadSource& payload) {
   obs::Span span("store.spill");
   ensure_dir(options_.dir);
-  for (std::size_t i = 0; i < chunks_.size(); ++i) {
-    if (chunks_[i].spilled()) continue;
-    chunks_[i].spill_to(chunk_path(options_.dir, spill_seq_, i));
-    StoreCounters::get().chunks_spilled.increment();
-    StoreCounters::get().spill_bytes.add(chunks_[i].payload_words() * sizeof(std::uint64_t));
-    obs::timeline::instant("store.chunk_spill");
+  const std::string path =
+      options_.dir + "/m" + std::to_string(g_spill_seq.fetch_add(1, std::memory_order_relaxed)) +
+      ".gdpstore";
+  write_file(path, sizes, /*seal=*/false, payload);
+  detail::FileMap file = map_file(path);
+  const std::size_t header_words = kCheckpointHeaderWords + 2 * sizes.size();
+  GDP_CHECK_MSG(mapped_words(file).size() ==
+                    std::accumulate(sizes.begin(), sizes.end(), header_words),
+                "store: " << path << " changed size during spill");
+  // Re-point every view at its payload's place in the file. This reads no
+  // payload word, so no page of the fresh mapping faults in.
+  const std::uint64_t* at = file.get() + header_words;
+  for (Chunk& c : chunks_) {
+    c = Chunk(c, at);
+    at += c.payload().size();
   }
-  // Everything is file-backed now; start the budget from an all-cold set so
-  // the first sweep's faults are what page the working set in.
-  if (residency_ != nullptr) residency_->reset_cold(chunks_);
+  adopt_file(std::move(file));
+  spilled_ = true;
+  StoreCounters::get().chunks_spilled.add(chunks_.size());
+  StoreCounters::get().spill_bytes.add(body_.size_bytes());
 }
 
 Model ChunkedModel::materialize() const {
@@ -535,37 +543,16 @@ Model ChunkedModel::materialize() const {
 
 void ChunkedModel::save_checkpoint(const std::string& path) const {
   obs::Span span("store.checkpoint_save");
-  std::vector<std::uint64_t> blob;
-  std::size_t payload_total = 0;
-  for (const Chunk& c : chunks_) payload_total += c.payload_words();
-  blob.reserve(kCheckpointHeaderWords + 2 * chunks_.size() + payload_total);
-
-  blob.push_back(kCheckpointMagic);
-  blob.push_back(kCheckpointVersion);
-  blob.push_back(static_cast<std::uint64_t>(num_phils_));
-  blob.push_back(codec_.key_words());
-  blob.push_back(chunk_states_);
-  blob.push_back(num_states_);
-  blob.push_back(truncated_ ? 1 : 0);
-  blob.push_back(chunks_.size());
-  blob.push_back(fingerprint());
-  for (const Chunk& c : chunks_) blob.push_back(c.payload_words());
-  for (const Chunk& c : chunks_) blob.push_back(c.fingerprint());
-  for (const Chunk& c : chunks_) {
-    blob.insert(blob.end(), c.payload(), c.payload() + c.payload_words());
-  }
-  write_file(path, blob.data(), blob.size());
+  write_file(path, chunk_sizes(), /*seal=*/true,
+             [this](std::size_t ci) { return chunks_[ci].payload(); });
 }
 
 ChunkedModel ChunkedModel::load_checkpoint(const algos::Algorithm& algo, const graph::Topology& t,
                                            const std::string& path, StoreOptions options) {
   obs::Span span("store.checkpoint_load");
-  const auto [addr, bytes] = map_file(path);
-  std::shared_ptr<const std::uint64_t> mapping(
-      static_cast<const std::uint64_t*>(addr),
-      [bytes = bytes](const std::uint64_t* p) { unmap(const_cast<std::uint64_t*>(p), bytes); });
-  const std::uint64_t* words = mapping.get();
-  const std::size_t total_words = bytes / sizeof(std::uint64_t);
+  detail::FileMap file = map_file(path);
+  const std::uint64_t* words = file.get();
+  const std::size_t total_words = mapped_words(file).size();
 
   GDP_CHECK_MSG(total_words >= kCheckpointHeaderWords, "store: " << path << " is not a checkpoint");
   GDP_CHECK_MSG(words[0] == kCheckpointMagic && words[1] == kCheckpointVersion,
@@ -578,13 +565,11 @@ ChunkedModel ChunkedModel::load_checkpoint(const algos::Algorithm& algo, const g
                 "store: " << path << " was written for a different (algorithm, topology) shape");
 
   ChunkedModel out;
-  out.spill_seq_ = g_spill_seq.fetch_add(1, std::memory_order_relaxed);
   out.num_phils_ = static_cast<int>(words[2]);
   out.chunk_states_ = words[4];
   out.num_states_ = words[5];
   out.truncated_ = words[6] != 0;
   out.codec_ = codec;
-  out.file_map_ = mapping;
   GDP_CHECK_MSG(out.chunk_states_ > 0, "store: " << path << " has zero chunk_states");
 
   const std::size_t num_chunks = words[7];
@@ -598,34 +583,41 @@ ChunkedModel ChunkedModel::load_checkpoint(const algos::Algorithm& algo, const g
   const std::uint64_t* fps = sizes + num_chunks;
   std::size_t cursor = kCheckpointHeaderWords + 2 * num_chunks;
 
+  const std::size_t np = static_cast<std::size_t>(out.num_phils_);
+  // Eater bits at or above num_phils name no philosopher.
+  const std::uint64_t foreign_eaters = np >= 64 ? 0 : ~std::uint64_t{0} << np;
   std::size_t states_seen = 0;
+  std::size_t frontier_from = out.num_states_;  // first frontier state, if any
   mdp::detail::DiscoveryOrder order(out.num_states_);
   out.chunks_.reserve(num_chunks);
   for (std::size_t ci = 0; ci < num_chunks; ++ci) {
-    GDP_CHECK_MSG(sizes[ci] <= total_words - cursor,
+    GDP_CHECK_MSG(sizes[ci] >= Chunk::kHeaderWords && sizes[ci] <= total_words - cursor,
                   "store: " << path << " truncated inside chunk " << ci);
-    Chunk c = Chunk::view(words + cursor, sizes[ci]);
+    const std::uint64_t* payload = words + cursor;
     StoreCounters::get().fingerprint_checks.increment();
-    GDP_CHECK_MSG(c.fingerprint() == fps[ci],
+    GDP_CHECK_MSG(fnv1a_words(payload, sizes[ci]) == fps[ci],
                   "store: chunk " << ci << " of " << path << " fails its fingerprint (corrupt)");
     StoreCounters::get().chunks_loaded.increment();
     // Structure, while the chunk's pages are hot from the fingerprint: a
     // file with recomputed fingerprints must not lead any reader out of
-    // the chunk. count and num_outcomes are bounded by the payload length
-    // first, so the layout sum cannot overflow.
-    GDP_CHECK_MSG(c.first() == states_seen && c.count() > 0 &&
-                      c.count() <= out.num_states_ - states_seen &&
-                      c.num_phils() == out.num_phils_ && c.key_words() == codec.key_words(),
+    // the chunk. The header (first, count, num_phils, key_words,
+    // num_outcomes) is checked before the view is made; count and
+    // num_outcomes are bounded by the payload length first, so the layout
+    // sum cannot overflow.
+    const std::size_t count = payload[1];
+    const std::size_t num_outcomes = payload[4];
+    GDP_CHECK_MSG(payload[0] == states_seen && count > 0 &&
+                      count <= out.num_states_ - states_seen && payload[2] == np &&
+                      payload[3] == codec.key_words(),
                   "store: chunk " << ci << " of " << path << " has an inconsistent header");
-    const std::size_t np = static_cast<std::size_t>(out.num_phils_);
-    GDP_CHECK_MSG(c.count() <= c.payload_words() && c.num_outcomes() <= c.payload_words() &&
-                      c.payload_words() == Chunk::layout_words(c.count(), np, c.num_outcomes(),
-                                                               c.key_words()),
+    GDP_CHECK_MSG(count <= sizes[ci] && num_outcomes <= sizes[ci] &&
+                      sizes[ci] == Chunk::layout_words(count, np, num_outcomes, payload[3]),
                   "store: chunk " << ci << " of " << path
                                   << " has a payload length its header does not imply");
+    const Chunk c(payload, sizes[ci]);
     const std::uint64_t* offsets = c.offsets();
-    const std::size_t rows = c.count() * np;
-    GDP_CHECK_MSG(offsets[0] == 0 && offsets[rows] == c.num_outcomes(),
+    const std::size_t rows = count * np;
+    GDP_CHECK_MSG(offsets[0] == 0 && offsets[rows] == num_outcomes,
                   "store: chunk " << ci << " of " << path
                                   << " has offsets that do not span its outcomes");
     for (std::size_t r = 0; r < rows; ++r) {
@@ -633,7 +625,8 @@ ChunkedModel ChunkedModel::load_checkpoint(const algos::Algorithm& algo, const g
                     "store: chunk " << ci << " of " << path << " has offsets not monotone at row "
                                     << r);
     }
-    for (std::size_t local = 0; local < c.count(); ++local) {
+    for (std::size_t local = 0; local < count; ++local) {
+      const std::size_t s = states_seen + local;
       const Outcome* begin = c.outcomes() + offsets[local * np];
       const Outcome* end = c.outcomes() + offsets[(local + 1) * np];
       for (const Outcome* o = begin; o != end; ++o) {
@@ -641,30 +634,40 @@ ChunkedModel ChunkedModel::load_checkpoint(const algos::Algorithm& algo, const g
                                                                  << " targets unknown state "
                                                                  << o->next);
       }
-      GDP_CHECK_MSG(order.feed(begin, end), "store: " << path << " is not rooted: state "
-                                                      << c.first() + local
-                                                      << " has no incoming outcome from a lower id");
+      GDP_CHECK_MSG(order.feed(begin, end),
+                    "store: " << path << " is not rooted: state " << s
+                              << " has no incoming outcome from a lower id");
+      GDP_CHECK_MSG((c.eaters()[local] & foreign_eaters) == 0,
+                    "store: " << path << " has an eater mask beyond num_phils at state " << s);
+      if (c.frontier(local)) {
+        if (frontier_from == out.num_states_) frontier_from = s;
+        GDP_CHECK_MSG(begin == end,
+                      "store: " << path << " has rows on frontier state " << s);
+      } else {
+        GDP_CHECK_MSG(frontier_from == out.num_states_,
+                      "store: " << path << " has a frontier that is not an id tail: state " << s
+                                << " is expanded after frontier state " << frontier_from);
+      }
     }
-    states_seen += c.count();
+    states_seen += count;
     cursor += sizes[ci];
-    out.chunks_.push_back(std::move(c));
+    out.chunks_.push_back(c);
   }
   GDP_CHECK_MSG(cursor == total_words, "store: " << path << " has trailing bytes");
   GDP_CHECK_MSG(states_seen == out.num_states_,
                 "store: " << path << " chunks cover " << states_seen << " states, header says "
                           << out.num_states_);
+  GDP_CHECK_MSG(out.truncated_ == (frontier_from < out.num_states_),
+                "store: " << path << " has a truncated flag that disagrees with its "
+                          << out.num_states_ - frontier_from << " frontier states");
   StoreCounters::get().fingerprint_checks.increment();
   GDP_CHECK_MSG(out.fingerprint() == stored_model_fp,
                 "store: " << path << " fails its model fingerprint (corrupt)");
   out.options_ = std::move(options);
   out.options_.chunk_states = out.chunk_states_;  // the file's layout wins
-  if (out.options_.max_resident_chunks > 0) {
-    out.residency_ = std::make_unique<detail::Residency>(out.chunks_.size(),
-                                                         out.options_.max_resident_chunks);
-    // Fingerprint verification touched every page; drop them so the model
-    // starts cold and the budget governs from the first read on.
-    out.residency_->reset_cold(out.chunks_);
-  }
+  // Fingerprint verification touched every page; a residency budget drops
+  // them so the model starts cold and the budget governs from the first read.
+  out.adopt_file(std::move(file));
   return out;
 }
 

@@ -23,17 +23,21 @@
 //     materialize() still rebuilds a validated contiguous Model. State
 //     ids are a discovery order, as in Model; load_checkpoint() enforces it.
 //
-//   * Spill — spill() writes each chunk payload to its own file in
-//     StoreOptions::dir and remaps it read-only (mmap), dropping the heap
-//     copy; reads fault pages back in on demand. Fingerprints make silent
-//     on-disk corruption a refusal instead of a wrong verdict. With
+//   * One body, spillable — a ChunkedModel's chunk payloads sit back to
+//     back, as in a checkpoint, in one heap vector or one read-only file
+//     mapping; chunks are views into it. spill() streams the model to one
+//     file in StoreOptions::dir through save_checkpoint()'s writer
+//     (fingerprint slots zero: spill files are private scratch), remaps it
+//     through load_checkpoint()'s mapper and frees the heap body (built
+//     with StoreOptions::spill, the chunks stream straight to the file);
+//     reads fault pages back in on demand. With
 //     StoreOptions::max_resident_chunks set, an LRU residency manager
-//     bounds how many file-backed chunks stay paged in at once (see
-//     detail::Residency).
+//     bounds how many chunks of a file-backed model stay paged in at once
+//     (see detail::Residency).
 //
 //   * Cap-as-checkpoint — the level-synchronous explorers leave a capped
 //     model with its unexpanded frontier as the id tail, so a capped run
-//     IS a checkpoint: save_checkpoint() writes one fingerprinted file,
+//     IS a checkpoint: save_checkpoint() streams one fingerprinted file,
 //     load_checkpoint() verifies and reopens it (zero-copy, mmap), and
 //     resume() continues exploration bit-identically — the resumed model's
 //     fingerprint equals the uncapped one-shot run's at every thread count
@@ -46,6 +50,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -66,17 +71,17 @@ struct StoreOptions {
   /// many chunks — the CI spill job uses this to exercise chunk seams.
   std::size_t chunk_states = std::size_t{1} << 15;
 
-  /// Spill chunk payloads to `dir` immediately after construction.
+  /// Spill the model to `dir` immediately after construction.
   bool spill = false;
 
-  /// Directory for spilled chunk files; created if missing. Required when
-  /// `spill` is set (and by any later explicit spill() call). Several
-  /// models may share one dir within a process: each prefixes its files
-  /// with a process-unique sequence number, so live mappings are never
-  /// clobbered by a later model's spill.
+  /// Directory for spill files (one per model); created if missing.
+  /// Required when `spill` is set (and by any later explicit spill() call
+  /// on a heap-backed model). Several models may share one dir within a
+  /// process: each names its file with a process-unique sequence number,
+  /// so live mappings are never clobbered by a later model's spill.
   std::string dir;
 
-  /// Residency budget over the FILE-BACKED chunks (spilled or
+  /// Residency budget over a FILE-BACKED model (spilled or
   /// checkpoint-loaded), in chunks; 0 means unbounded (every faulted page
   /// stays until the mapping dies — the historical behavior). With a
   /// budget, read-API access pages a cold chunk in ("store.chunk_faults")
@@ -84,27 +89,23 @@ struct StoreOptions {
   /// ("store.chunk_evictions") by dropping their pages back to the file.
   /// Eviction never invalidates pointers: rows held across an eviction
   /// simply refault from the file, so the parallel kernels need no hooks.
-  /// Heap-resident chunks are exempt (there is no file to drop to).
+  /// A heap-backed model is exempt as a whole (there is no file to drop
+  /// to); the budget takes effect when it spills.
   std::size_t max_resident_chunks = 0;
 };
 
-/// One fixed-size chunk: a flat 64-bit payload, either heap-owned
-/// (resident) or a read-only file mapping (spilled / checkpoint-loaded).
-/// Move-only; the mapping is unmapped on destruction.
+/// One fixed-size chunk: a non-owning, trivially copyable view of a flat
+/// 64-bit payload inside its model's body. The section pointers are
+/// computed once, when the view is made; the view never outlives the body.
 class Chunk {
  public:
-  Chunk() = default;
-  Chunk(const Chunk&) = delete;
-  Chunk& operator=(const Chunk&) = delete;
-  Chunk(Chunk&& rhs) noexcept { *this = std::move(rhs); }
-  Chunk& operator=(Chunk&& rhs) noexcept;
-  ~Chunk() { release(); }
-
-  /// A resident chunk owning `payload` (as laid out by ChunkedModel).
-  static Chunk own(std::vector<std::uint64_t> payload);
-  /// A non-owning view into `words` payload words (a checkpoint mapping
-  /// whose lifetime the ChunkedModel holds).
-  static Chunk view(const std::uint64_t* payload, std::size_t words);
+  /// A view of `words` payload words, which must be exactly the layout its
+  /// header implies (load_checkpoint() validates that before making one).
+  Chunk(const std::uint64_t* payload, std::size_t words);
+  /// `chunk`'s view moved to `payload`, a byte-identical copy of its
+  /// payload. Reads no payload word, so re-pointing at a fresh file
+  /// mapping faults no page in.
+  Chunk(const Chunk& chunk, const std::uint64_t* payload);
 
   StateId first() const { return static_cast<StateId>(payload_[0]); }
   std::size_t count() const { return payload_[1]; }
@@ -113,17 +114,15 @@ class Chunk {
   std::size_t num_outcomes() const { return payload_[4]; }
 
   /// Chunk-local CSR offsets: count * num_phils + 1 entries, starting at 0.
-  const std::uint64_t* offsets() const { return payload_ + kHeaderWords; }
+  const std::uint64_t* offsets() const { return offsets_; }
   /// Transition rows; `next` fields are global state ids.
-  const Outcome* outcomes() const;
-  const std::uint64_t* eaters() const { return outcome_words() + num_outcomes(); }
+  const Outcome* outcomes() const { return outcomes_; }
+  const std::uint64_t* eaters() const { return eaters_; }
   bool frontier(std::size_t local) const {
-    return ((frontier_words()[local >> 6] >> (local & 63)) & 1) != 0;
+    return ((frontier_[local >> 6] >> (local & 63)) & 1) != 0;
   }
   /// key_words() words per state, count() states.
-  const std::uint64_t* key_run(std::size_t local) const {
-    return frontier_words() + (count() + 63) / 64 + local * key_words();
-  }
+  const std::uint64_t* key_run(std::size_t local) const { return keys_ + local * key_words(); }
 
   /// Payload words (header included) of a chunk with this header.
   static std::size_t layout_words(std::size_t count, std::size_t num_phils,
@@ -131,52 +130,40 @@ class Chunk {
     return kHeaderWords + count * num_phils + 1 + num_outcomes + count + (count + 63) / 64 +
            count * key_words;
   }
+  static constexpr std::size_t kHeaderWords = 5;
 
   /// The raw payload words (header included) — what fingerprint() hashes
   /// and save_checkpoint() serializes.
-  const std::uint64_t* payload() const { return payload_; }
-  std::size_t payload_words() const { return payload_words_; }
+  std::span<const std::uint64_t> payload() const { return {payload_, payload_words_}; }
   std::size_t payload_bytes() const { return payload_words_ * sizeof(std::uint64_t); }
   std::uint64_t fingerprint() const;
 
-  bool spilled() const { return owned_.empty() && mapped_ != nullptr; }
-  /// Backed by a read-only file mapping rather than the heap: spilled, or a
-  /// view into a checkpoint mapping. Only file-backed chunks participate in
-  /// the StoreOptions::max_resident_chunks budget — their pages can be
-  /// dropped and refaulted from the file at any time.
-  bool file_backed() const { return owned_.empty() && payload_ != nullptr; }
-  /// Returns the payload pages to the kernel (madvise(MADV_DONTNEED) on the
-  /// page-aligned interior); the next access refaults them from the file.
-  /// No-op on heap-owned chunks. The payload pointer stays valid — readers
-  /// racing an eviction see identical bytes, just slower.
-  void drop_pages() const;
-  /// Writes the payload to `path`, remaps it read-only, drops the heap copy.
-  void spill_to(const std::string& path);
-
  private:
-  static constexpr std::size_t kHeaderWords = 5;
-
-  const std::uint64_t* outcome_words() const {
-    return offsets() + count() * static_cast<std::size_t>(num_phils()) + 1;
-  }
-  const std::uint64_t* frontier_words() const { return eaters() + count(); }
-  void release();
-
-  const std::uint64_t* payload_ = nullptr;  // owned_.data(), mapped_, or a view
+  const std::uint64_t* payload_ = nullptr;
   std::size_t payload_words_ = 0;
-  std::vector<std::uint64_t> owned_;
-  void* mapped_ = nullptr;  // non-null iff this chunk owns an mmap
-  std::size_t mapped_bytes_ = 0;
+  const std::uint64_t* offsets_ = nullptr;
+  const Outcome* outcomes_ = nullptr;
+  const std::uint64_t* eaters_ = nullptr;
+  const std::uint64_t* frontier_ = nullptr;
+  const std::uint64_t* keys_ = nullptr;
 };
 
 namespace detail {
 
-/// Bounded-resident chunk manager: a pseudo-LRU over the file-backed
-/// chunks, keyed by an epoch stamp per chunk (0 = cold / pages dropped,
-/// otherwise the epoch of the last *fault* that found it cold). The hot
-/// path — touching an already-hot chunk — is two relaxed atomic ops and
-/// never takes the lock; the fault path is mutex-serialized and evicts
-/// min-stamp victims until the hot set fits the budget again.
+/// Deleter of a read-only file mapping of `bytes` bytes (munmap).
+struct Unmap {
+  std::size_t bytes = 0;
+  void operator()(const std::uint64_t* words) const;
+};
+/// A read-only file mapping — the one owner of a file-backed model's bytes.
+using FileMap = std::unique_ptr<const std::uint64_t, Unmap>;
+
+/// Bounded-resident chunk manager over one file mapping: a pseudo-LRU over
+/// the model's chunks, keyed by an epoch stamp per chunk (0 = cold / pages
+/// dropped, otherwise the epoch of the last *fault* that found it cold).
+/// The hot path — touching an already-hot chunk — is one relaxed atomic
+/// load and never takes the lock; the fault path is mutex-serialized and
+/// evicts min-stamp victims until the hot set fits the budget again.
 ///
 /// The stamp is deliberately NOT refreshed on every touch: a strict-LRU
 /// stamp-per-read would put a contended store on every row() call. Fault
@@ -185,10 +172,14 @@ namespace detail {
 ///
 /// The manager never owns the chunks — every call takes the chunk vector by
 /// reference, so a moved-from ChunkedModel leaves no dangling pointer here.
+/// It only ever drops pages inside the mapping it was made for: on heap
+/// memory, MADV_DONTNEED would zero the model.
 class Residency {
  public:
-  Residency(std::size_t num_chunks, std::size_t budget)
-      : budget_(budget == 0 ? 1 : budget), stamps_(num_chunks) {}
+  /// Starts cold: drops every page of `file` (verification or the spill
+  /// write may have touched them), so the first sweep's faults are what
+  /// page the working set in.
+  Residency(const FileMap& file, std::size_t num_chunks, std::size_t budget);
 
   Residency(const Residency&) = delete;
   Residency& operator=(const Residency&) = delete;
@@ -199,18 +190,18 @@ class Residency {
     fault(chunks, idx);
   }
 
-  /// Drops every file-backed chunk's pages and zeroes the accounting —
-  /// the post-spill / post-load starting state.
-  void reset_cold(const std::vector<Chunk>& chunks);
-
-  /// Bytes of currently-hot file-backed payloads, and the high-water mark.
+  /// Bytes of currently-hot payloads, and the high-water mark.
   std::size_t hot_bytes() const;
   std::size_t peak_bytes() const;
 
  private:
   void fault(const std::vector<Chunk>& chunks, std::size_t idx);
+  /// Returns the whole pages inside `words` to the kernel; the next access
+  /// refaults them from the file.
+  void drop_pages(std::span<const std::uint64_t> words) const;
 
-  const std::size_t budget_;  // max hot file-backed chunks, >= 1
+  const std::span<const std::uint64_t> file_;  // the mapping pages drop back to
+  const std::size_t budget_;                   // max hot chunks, >= 1
   /// Per-chunk last-fault epoch; 0 = cold. Relaxed: the stamp orders
   /// nothing — correctness never depends on it (an evicted chunk refaults).
   std::vector<std::atomic<std::uint64_t>> stamps_;
@@ -223,8 +214,9 @@ class Residency {
 
 }  // namespace detail
 
-/// A model as a sequence of chunks. Mirrors the Model read API; see the
-/// header comment for the spill and checkpoint contracts. Move-only.
+/// A model as a sequence of chunk views over one body. Mirrors the Model
+/// read API; see the header comment for the spill and checkpoint
+/// contracts. Move-only (a move keeps every view valid).
 class ChunkedModel {
  public:
   ChunkedModel(const ChunkedModel&) = delete;
@@ -236,7 +228,8 @@ class ChunkedModel {
   /// flat run of codec.key_words() words per state, and `codec` the layout
   /// that produced them (both from the explorer's StateIndex).
   /// Frontier states must be a contiguous id tail (the level-synchronous
-  /// explorers guarantee it); spills immediately when options.spill.
+  /// explorers guarantee it). With options.spill the chunks stream
+  /// straight into the spill file, one at a time (no heap body).
   static ChunkedModel from_model(const Model& model, const KeyCodec& codec,
                                  std::span<const std::uint64_t> keys, StoreOptions options = {});
 
@@ -274,33 +267,39 @@ class ChunkedModel {
   /// whether the model ever hit a cap along the way.
   std::uint64_t fingerprint() const;
 
-  /// Bytes of chunk payload currently resident: heap-owned chunks plus —
-  /// under a max_resident_chunks budget — the hot file-backed set; without
-  /// a budget, every non-spilled payload (the historical accounting, where
-  /// a fully spilled model reads 0).
+  /// Bytes of the body currently resident: all of a heap body; under a
+  /// max_resident_chunks budget, the hot set of a file-backed one; without
+  /// a budget, all of a loaded checkpoint and none of a spilled model (the
+  /// historical accounting).
   std::size_t resident_bytes() const;
   /// High-water mark of the budget-managed hot set (resident_bytes() when
   /// no budget is active) — what the `ctest -L store` residency pin reads.
   std::size_t peak_resident_bytes() const;
+  /// The whole body if this model spilled it to its own file, else 0.
   std::size_t spilled_bytes() const;
 
-  /// Spills every resident chunk to options.dir (see Chunk::spill_to).
+  /// Streams the heap body to one file in options.dir, remaps it read-only
+  /// and frees the heap body. A no-op on a file-backed model (already
+  /// spilled, or a loaded checkpoint).
   void spill();
 
   /// Rebuilds the contiguous, validated Model (Model::build re-checks the
   /// CSR invariants — a second line of defense after the fingerprints).
   Model materialize() const;
 
-  /// One self-contained fingerprinted file: header + per-chunk fingerprint
-  /// table + chunk payloads.
+  /// One self-contained fingerprinted file: header + per-chunk size and
+  /// fingerprint tables + the body, streamed from wherever the body lives.
   void save_checkpoint(const std::string& path) const;
   /// Maps `path` read-only and verifies the header against (algo, t) and
   /// every fingerprint against the payloads. Each chunk's structure is
   /// validated right after its fingerprint — payload length against the
   /// layout its header implies, monotone offsets ending at its outcome
-  /// count, every `next` a valid state id — and its rows are fed to the
-  /// discovery-order check (see Model), so a file whose fingerprints were
-  /// recomputed still cannot make a reader leave its chunk. Throws
+  /// count, every `next` a valid state id, eater masks within num_phils,
+  /// frontier states an id tail with empty rows — and its rows are fed to
+  /// the discovery-order check (see Model); the header's `truncated` flag
+  /// must agree with whether that tail is empty. So a file whose
+  /// fingerprints were recomputed still cannot make a reader leave its
+  /// chunk, nor pass unexplored states off as a complete model. Throws
   /// PreconditionError on any mismatch (corruption refusal). Chunks view
   /// the mapping zero-copy.
   /// `options.chunk_states` comes from the file; `options.dir` and
@@ -319,18 +318,33 @@ class ChunkedModel {
   }
   std::size_t local_of(StateId s) const { return s % chunk_states_; }
 
+  /// Chunk ci's payload words.
+  using PayloadSource = std::function<std::span<const std::uint64_t>(std::size_t)>;
+  /// The one checkpoint-layout writer: header, size table, fingerprint
+  /// table (zeros unless `seal`), then each payload, streamed to `path`.
+  void write_file(const std::string& path, std::span<const std::uint64_t> sizes, bool seal,
+                  const PayloadSource& payload) const;
+  std::vector<std::uint64_t> chunk_sizes() const;
+  /// Writes a spill file, maps it and re-points every view into it.
+  void spill_file(std::span<const std::uint64_t> sizes, const PayloadSource& payload);
+  /// Makes `file` the body (views already point into it); starts the budget.
+  void adopt_file(detail::FileMap file);
+
   int num_phils_ = 0;
   std::size_t num_states_ = 0;
   std::size_t chunk_states_ = 0;
   bool truncated_ = false;
   KeyCodec codec_;
-  std::vector<Chunk> chunks_;
   StoreOptions options_;
-  /// Process-unique prefix for this model's spill files (see StoreOptions::dir).
-  std::uint64_t spill_seq_ = 0;
-  /// Checkpoint file mapping backing view chunks; the deleter unmaps.
-  std::shared_ptr<const std::uint64_t> file_map_;
-  /// Present iff options_.max_resident_chunks > 0 (see detail::Residency).
+  /// The body's owner: heap_ until the model is file-backed, then file_.
+  std::vector<std::uint64_t> heap_;
+  detail::FileMap file_;
+  bool spilled_ = false;  // file_ is this model's spill file, not a checkpoint
+  /// The chunk payloads, back to back, wherever they live.
+  std::span<const std::uint64_t> body_;
+  std::vector<Chunk> chunks_;
+  /// Present iff the model is file-backed and options_.max_resident_chunks
+  /// > 0 (see detail::Residency).
   std::unique_ptr<detail::Residency> residency_;
 };
 

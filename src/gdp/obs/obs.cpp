@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <map>
 
+#include "gdp/common/strings.hpp"
 #include "gdp/common/thread_annotations.hpp"
 #include "gdp/obs/timeline.hpp"
 
@@ -183,35 +184,13 @@ void Registry::reset() {
 
 namespace {
 
-void append_escaped(std::string& out, const std::string& s) {
-  out += '"';
-  for (const char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-}
-
 void append_metric_map(std::string& out, const std::vector<MetricValue>& metrics) {
   out += '{';
   bool first = true;
   for (const MetricValue& m : metrics) {
     if (!first) out += ", ";
     first = false;
-    append_escaped(out, m.name);
+    append_json_string(out, m.name);
     out += ": ";
     out += std::to_string(m.value);
   }
@@ -224,7 +203,7 @@ void append_histogram_map(std::string& out, const std::vector<HistogramValue>& h
   for (const HistogramValue& h : histograms) {
     if (!first) out += ", ";
     first = false;
-    append_escaped(out, h.name);
+    append_json_string(out, h.name);
     out += ": {\"count\": " + std::to_string(h.count) + ", \"sum\": " + std::to_string(h.sum) +
            ", \"pow2_buckets\": {";
     bool bfirst = true;
@@ -247,15 +226,15 @@ std::string report_json(const Snapshot& snapshot, const std::string& name,
   out += "{\n  \"gdp_obs_schema\": ";
   out += std::to_string(kReportSchema);
   out += ",\n  \"name\": ";
-  append_escaped(out, name);
+  append_json_string(out, name);
   out += ",\n  \"meta\": {";
   bool first = true;
   for (const auto& [k, v] : meta) {
     if (!first) out += ", ";
     first = false;
-    append_escaped(out, k);
+    append_json_string(out, k);
     out += ": ";
-    append_escaped(out, v);
+    append_json_string(out, v);
   }
   out += "},\n  \"deterministic\": {\n    \"counters\": ";
   append_metric_map(out, snapshot.counters);
@@ -274,7 +253,7 @@ std::string report_json(const Snapshot& snapshot, const std::string& name,
   for (const SpanValue& s : snapshot.spans) {
     if (!first) out += ", ";
     first = false;
-    append_escaped(out, s.name);
+    append_json_string(out, s.name);
     out += ": {\"count\": " + std::to_string(s.count) +
            ", \"total_ns\": " + std::to_string(s.total_ns);
     // min/max are undefined on an empty aggregate (a reset span): omit them

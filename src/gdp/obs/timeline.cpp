@@ -7,6 +7,7 @@
 #include <memory>
 #include <thread>
 
+#include "gdp/common/strings.hpp"
 #include "gdp/common/thread_annotations.hpp"
 #include "gdp/obs/obs.hpp"
 
@@ -196,28 +197,10 @@ Stats stats() {
 
 namespace {
 
-void append_trace_escaped(std::string& out, const char* s) {
-  out += '"';
-  for (; *s != '\0'; ++s) {
-    const char ch = *s;
-    if (ch == '"' || ch == '\\') {
-      out += '\\';
-      out += ch;
-    } else if (static_cast<unsigned char>(ch) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-      out += buf;
-    } else {
-      out += ch;
-    }
-  }
-  out += '"';
-}
-
 void append_event(std::string& out, std::uint32_t tid, const Event& e) {
   char buf[64];
   out += "{\"name\": ";
-  append_trace_escaped(out, e.name != nullptr ? e.name : "?");
+  append_json_string(out, e.name != nullptr ? e.name : "?");
   out += ", \"ph\": \"";
   switch (e.kind) {
     case EventKind::kBegin: out += 'B'; break;
@@ -255,7 +238,7 @@ std::string trace_json(const std::string& process_name) {
   out += "\"},\n\"traceEvents\": [\n";
   out += "{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"args\": "
          "{\"name\": ";
-  append_trace_escaped(out, process_name.c_str());
+  append_json_string(out, process_name);
   out += "}}";
   for (const TrackEvents& te : tracks) {
     char buf[96];

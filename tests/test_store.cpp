@@ -25,6 +25,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -246,10 +247,13 @@ TEST(Store, SpillPreservesEveryObservation) {
                                                   chunked.flat_keys(), spill_opts);
   spilled.spill();
   EXPECT_EQ(spilled.resident_bytes(), 0u);
-  EXPECT_GT(spilled.spilled_bytes(), 0u);
+  // Every chunk is backed by the spill file.
+  std::size_t payload_bytes = 0;
   for (std::size_t i = 0; i < spilled.num_chunks(); ++i) {
-    EXPECT_TRUE(spilled.chunk(i).spilled()) << "chunk " << i;
+    payload_bytes += spilled.chunk(i).payload_bytes();
   }
+  EXPECT_GT(payload_bytes, 0u);
+  EXPECT_EQ(spilled.spilled_bytes(), payload_bytes);
   EXPECT_EQ(spilled.fingerprint(), fp_resident);
   expect_matches_model(spilled, model);
 
@@ -280,6 +284,85 @@ TEST(Store, SpillAtConstructionMatchesExplicitSpill) {
   const ChunkedModel resident = explore(*algo, t, StoreOptions{});
   EXPECT_EQ(spilled.fingerprint(), resident.fingerprint());
   expect_matches_model(spilled, resident.materialize());
+}
+
+/// Regular files directly in `dir`.
+std::size_t files_in(const std::string& dir) {
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.is_regular_file()) ++files;
+  }
+  return files;
+}
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(Store, SpillWritesOneFilePerModel) {
+  const ScratchDir scratch("spill_one_file");
+  const auto algo = algos::make_algorithm("gdp2");
+  const auto t = graph::parallel_arcs(3);
+  StoreOptions options;
+  options.chunk_states = 256;  // ~26 chunks, still one file
+  options.dir = scratch.dir();
+  ChunkedModel model = explore(*algo, t, options);
+  ASSERT_GT(model.num_chunks(), 1u);
+  EXPECT_EQ(files_in(scratch.dir()), 0u);
+  model.spill();
+  EXPECT_EQ(files_in(scratch.dir()), 1u);
+  model.spill();  // already file-backed: no second file
+  EXPECT_EQ(files_in(scratch.dir()), 1u);
+}
+
+TEST(Store, CheckpointBytesDoNotDependOnWhereTheBodyLives) {
+  const ScratchDir scratch("save_body");
+  const auto algo = algos::make_algorithm("lr2");
+  const auto t = graph::classic_ring(3);
+  StoreOptions options;
+  options.chunk_states = 512;
+  options.dir = scratch.dir();
+  CheckOptions capped;
+  capped.max_states = 2'000;
+  ChunkedModel model = explore(*algo, t, options, capped);
+  ASSERT_TRUE(model.truncated());
+
+  const std::string heap_path = scratch.path("heap.ckpt");
+  model.save_checkpoint(heap_path);
+  model.spill();
+  ASSERT_GT(model.spilled_bytes(), 0u);
+  const std::string file_path = scratch.path("spilled.ckpt");
+  model.save_checkpoint(file_path);
+
+  const std::vector<char> heap_bytes = file_bytes(heap_path);
+  ASSERT_FALSE(heap_bytes.empty());
+  EXPECT_TRUE(heap_bytes == file_bytes(file_path)) << "checkpoint bytes depend on the body";
+  EXPECT_EQ(ChunkedModel::load_checkpoint(*algo, t, heap_path).fingerprint(), model.fingerprint());
+  EXPECT_EQ(ChunkedModel::load_checkpoint(*algo, t, file_path).fingerprint(), model.fingerprint());
+}
+
+TEST(Store, SpillOfLoadedCheckpointIsNoOp) {
+  const ScratchDir scratch("spill_loaded");
+  const auto algo = algos::make_algorithm("gdp2");
+  const auto t = graph::parallel_arcs(3);
+  StoreOptions options;
+  options.chunk_states = 256;
+  const ChunkedModel model = explore(*algo, t, options);
+  const std::string path = scratch.path("ckpt.gdpstore");
+  model.save_checkpoint(path);
+
+  const std::string spill_dir = scratch.path("spill");
+  StoreOptions load_options;
+  load_options.dir = spill_dir;
+  ChunkedModel loaded = ChunkedModel::load_checkpoint(*algo, t, path, load_options);
+  const std::size_t resident = loaded.resident_bytes();
+  loaded.spill();
+  EXPECT_FALSE(std::filesystem::exists(spill_dir)) << "spill() wrote a file for a loaded model";
+  EXPECT_EQ(loaded.spilled_bytes(), 0u);
+  EXPECT_EQ(loaded.resident_bytes(), resident);
+  EXPECT_EQ(loaded.fingerprint(), model.fingerprint());
+  expect_matches_model(loaded, model.materialize());
 }
 
 // --- corruption refusal ----------------------------------------------------
@@ -313,6 +396,15 @@ class CheckpointForgery {
     std::uint64_t* c = chunk(ci);
     return c + 5 + c[1] * c[2] + 1;
   }
+  /// Chunk ci's eater masks, one word per state.
+  std::uint64_t* eaters(std::size_t ci) {
+    std::uint64_t* c = chunk(ci);
+    return outcomes(ci) + c[4];
+  }
+  /// Chunk ci's frontier bits, 64 states per word.
+  std::uint64_t* frontier(std::size_t ci) { return eaters(ci) + chunk(ci)[1]; }
+  /// Header word 6: the truncated flag.
+  void set_truncated(bool truncated) { words_[6] = truncated ? 1 : 0; }
   static StateId next_of(std::uint64_t outcome) { return static_cast<StateId>(outcome >> 32); }
   static std::uint64_t with_next(std::uint64_t outcome, std::uint64_t next) {
     return (outcome & 0xFFFFFFFFu) | (next << 32);
@@ -431,6 +523,57 @@ TEST(Store, CorruptedCheckpointIsRefused) {
     forged.write(path);
     expect_refused(*algo, t, path,
                    "not rooted: state " + std::to_string(last_state) + " has no incoming");
+  }
+  // An eater bit naming philosopher num_phils, who does not exist:
+  model.save_checkpoint(path);
+  {
+    CheckpointForgery forged(path);
+    forged.eaters(0)[0] |= std::uint64_t{1} << forged.chunk(0)[2];
+    forged.reseal(0);
+    forged.write(path);
+    expect_refused(*algo, t, path, "eater mask beyond num_phils at state 0");
+  }
+  // A frontier bit on the last state, which has rows:
+  model.save_checkpoint(path);
+  {
+    CheckpointForgery forged(path);
+    const std::size_t last = forged.num_chunks() - 1;
+    const std::size_t local = forged.chunk(last)[1] - 1;
+    forged.frontier(last)[local >> 6] |= std::uint64_t{1} << (local & 63);
+    forged.reseal(last);
+    forged.write(path);
+    expect_refused(*algo, t, path,
+                   "has rows on frontier state " + std::to_string(forged.num_states() - 1));
+  }
+
+  // A capped model's frontier tail is what the next two forgeries bend.
+  CheckOptions capped_opts;
+  capped_opts.max_states = 2'000;
+  const ChunkedModel capped = explore(*algo, t, suite_options(scratch, 512), capped_opts);
+  ASSERT_TRUE(capped.truncated());
+  ASSERT_TRUE(capped.frontier(static_cast<StateId>(capped.num_states() - 2)));
+  // The last state's frontier bit cleared: an (empty) expanded state after
+  // the frontier, so the frontier is no longer the id tail.
+  capped.save_checkpoint(path);
+  {
+    CheckpointForgery forged(path);
+    const std::size_t last = forged.num_chunks() - 1;
+    const std::size_t local = forged.chunk(last)[1] - 1;
+    forged.frontier(last)[local >> 6] &= ~(std::uint64_t{1} << (local & 63));
+    forged.reseal(last);
+    forged.write(path);
+    expect_refused(*algo, t, path,
+                   "frontier that is not an id tail: state " +
+                       std::to_string(forged.num_states() - 1) + " is expanded");
+  }
+  // The truncated flag cleared: unexplored states passed off as a complete
+  // model, whose verdicts would read as certified.
+  capped.save_checkpoint(path);
+  {
+    CheckpointForgery forged(path);
+    forged.set_truncated(false);
+    forged.write(path);
+    expect_refused(*algo, t, path, "truncated flag that disagrees");
   }
 }
 
