@@ -83,12 +83,11 @@ int main(int argc, char** argv) {
     for (const char* name : {"lr2", "gdp2"}) {
       const auto algo = algos::make_algorithm(name);
       const auto model = mdp::explore(*algo, t, opts);
-      const auto verdict = mdp::check_fair_progress(model, ~std::uint64_t{0});
       mdp::quant::QuantOptions qopts;
       qopts.threads = opts.threads;
       qopts.max_states = opts.max_states;
       const auto q = mdp::quant::analyze(model, ~std::uint64_t{0}, qopts);
-      row.push_back(verdict_str(verdict));
+      row.push_back(verdict_str(q.progress));
       row.push_back(model.truncated() ? "unknown" : prob_str(q.p_min));
       row.push_back(model.truncated() ? "unknown" : time_str(q.e_max));
       // Machine-readable quantitative verdicts live in BENCH_thm2_theta.json

@@ -18,6 +18,9 @@
 #                                    and run each of its three workloads for
 #                                    ~1 s; fails unless every pinned check
 #                                    passes.
+#        ./ci.sh tsan              — ThreadSanitizer build + ctest of the
+#                                    threaded suites (TSAN_SUITES below); the
+#                                    full run ends with it too.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -47,6 +50,31 @@ lint_pass() {
 
 if [[ "${1:-}" == "lint" ]]; then
   lint_pass
+  exit 0
+fi
+
+# TSan pass over the threaded subsystems only (the pool's parallel_for,
+# the parallel model checker, the campaign runner and the obs registry);
+# ASan and TSan cannot share a build tree. test_explore_oracle's
+# lr2/parallel(4) cases have levels past the explorer's inline-intern
+# cutoff, so the parallel intern phases (sharded table, prefix scan, slot
+# settling) run under TSan too. The one list feeds both the build targets
+# and the ctest selection.
+TSAN_SUITES=(test_pool test_mdp_par test_explore_oracle test_exp test_key test_quant test_store
+             test_obs)
+
+tsan_pass() {
+  echo "=== tsan: configure ==="
+  cmake -B build/tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGDP_SANITIZE_THREAD=ON \
+    -DGDP_BUILD_BENCH=OFF -DGDP_BUILD_EXAMPLES=OFF
+  echo "=== tsan: build ${TSAN_SUITES[*]} ==="
+  cmake --build build/tsan -j "${JOBS}" --target "${TSAN_SUITES[@]}"
+  echo "=== tsan: ctest ${TSAN_SUITES[*]} ==="
+  ctest --test-dir build/tsan --output-on-failure -R "^($(IFS='|'; echo "${TSAN_SUITES[*]}"))\$"
+}
+
+if [[ "${1:-}" == "tsan" ]]; then
+  tsan_pass
   exit 0
 fi
 
@@ -126,24 +154,7 @@ if [[ "${SANITIZE}" == 1 ]]; then
   GDP_TEST_FORCE_SPILL=1 GDP_TEST_MAX_RESIDENT_CHUNKS=2 GDP_TEST_CHUNK_STATES=128 \
     ctest --test-dir build/asan-ubsan --output-on-failure -L store
 
-  # TSan pass over the threaded subsystems only (the pool's parallel_for,
-  # the parallel model checker, the campaign runner and the obs registry);
-  # ASan and TSan cannot share a build tree. test_explore_oracle's
-  # lr2/parallel(4) cases have levels past the explorer's inline-intern
-  # cutoff, so the parallel intern phases (sharded table, prefix scan, slot
-  # settling) run under TSan too. Keep this list identical to the CI
-  # workflow's tsan-parallel-engines job.
-  echo "=== tsan: configure ==="
-  cmake -B build/tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DGDP_SANITIZE_THREAD=ON \
-    -DGDP_BUILD_BENCH=OFF -DGDP_BUILD_EXAMPLES=OFF
-  echo "=== tsan: build ==="
-  cmake --build build/tsan -j "${JOBS}" \
-    --target test_pool test_mdp_par test_explore_oracle test_exp test_key test_quant test_store \
-    test_obs
-  echo "=== tsan: ctest (test_pool + test_mdp_par + test_explore_oracle + test_exp + test_key" \
-       "+ test_quant + test_store + test_obs) ==="
-  ctest --test-dir build/tsan --output-on-failure \
-    -R 'test_pool|test_mdp_par|test_explore_oracle|test_exp|test_key|test_quant|test_store|test_obs'
+  tsan_pass
 fi
 
 echo "=== CI green ==="

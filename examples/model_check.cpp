@@ -12,7 +12,6 @@
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/chain_analysis.hpp"
-#include "gdp/mdp/end_components.hpp"
 #include "gdp/mdp/fair_progress.hpp"
 #include "gdp/mdp/model.hpp"
 #include "gdp/mdp/quant/quant.hpp"
@@ -67,7 +66,14 @@ int main(int argc, char** argv) {
   std::printf("explored %zu states (%zu state-action rows)%s\n", model.num_states(),
               model.num_rows(), model.truncated() ? " [TRUNCATED]" : "");
 
-  const auto progress = mdp::check_fair_progress(model, ~std::uint64_t{0});
+  // Certified two-sided bounds over every fair adversary (interval
+  // iteration on the MEC quotient; see gdp/mdp/quant/quant.hpp). The
+  // analysis carries the progress verdict it decides on the way.
+  mdp::quant::QuantOptions qopts;
+  qopts.threads = opts.threads;
+  qopts.max_states = max_states;
+  const auto quant = mdp::quant::analyze(model, ~std::uint64_t{0}, qopts);
+  const auto& progress = quant.progress;
   std::printf("\nProgress (T --fair-->_1 E):\n  %s\n", progress.summary().c_str());
 
   std::printf("\nLockout-freedom (T_i --fair-->_1 E_i):\n");
@@ -76,12 +82,6 @@ int main(int argc, char** argv) {
     std::printf("  P%d: %s\n", v, lf.summary().c_str());
   }
 
-  // Certified two-sided bounds over every fair adversary (interval
-  // iteration on the MEC quotient; see gdp/mdp/quant/quant.hpp).
-  mdp::quant::QuantOptions qopts;
-  qopts.threads = opts.threads;
-  qopts.max_states = max_states;
-  const auto quant = mdp::quant::analyze(model, ~std::uint64_t{0}, qopts);
   auto interval = [](const mdp::quant::Interval& iv) -> std::string {
     char buf[64];
     if (iv.lower == iv.upper && !iv.finite()) return "inf (certified)";
@@ -114,24 +114,17 @@ int main(int argc, char** argv) {
   std::printf("\n");
 
   // If the checker found a fair no-progress trap, execute it.
-  if (progress.verdict == mdp::Verdict::kProgressFails) {
+  if (progress.witness) {
     std::printf("\nSynthesizing the witness adversary and running it live...\n");
-    // Explored models are rooted (every state is reachable), so the first
-    // fair MEC is the trap.
-    const auto mecs = mdp::maximal_end_components(model, ~std::uint64_t{0});
-    for (const auto& mec : mecs) {
-      if (!mec.fair(model.num_phils())) continue;
-      mdp::WitnessScheduler sched(model, index, mec);
-      rng::Rng rng(7);
-      sim::EngineConfig cfg;
-      cfg.max_steps = 30'000;
-      const auto r = sim::run(*algo, t, sched, rng, cfg);
-      std::printf("  entered the trap: %s; steps inside: %llu; meals before/inside: %llu\n",
-                  sched.entered_component() ? "yes" : "no (unlucky draws — rerun)",
-                  static_cast<unsigned long long>(sched.steps_inside()),
-                  static_cast<unsigned long long>(r.total_meals));
-      break;
-    }
+    mdp::WitnessScheduler sched(model, index, *progress.witness);
+    rng::Rng rng(7);
+    sim::EngineConfig cfg;
+    cfg.max_steps = 30'000;
+    const auto r = sim::run(*algo, t, sched, rng, cfg);
+    std::printf("  entered the trap: %s; steps inside: %llu; meals before/inside: %llu\n",
+                sched.entered_component() ? "yes" : "no (unlucky draws — rerun)",
+                static_cast<unsigned long long>(sched.steps_inside()),
+                static_cast<unsigned long long>(r.total_meals));
   }
 
   // GDP_OBS=1 in the environment adds a run report and GDP_OBS_TIMELINE=1 a

@@ -19,15 +19,18 @@ std::string FairProgressResult::summary() const {
   std::ostringstream out;
   out << to_string(verdict) << " — " << num_states << " states, " << num_mecs
       << " restricted MECs, " << num_fair_mecs << " fair";
-  if (witness_size != 0) out << ", witness EC of " << witness_size << " states";
+  if (witness) out << ", witness EC of " << witness->states.size() << " states";
   return out.str();
 }
 
 FairProgressResult check_fair_progress(const Model& model, std::uint64_t set_mask) {
-  return detail::verdict_from_mecs_t(model, set_mask, maximal_end_components(model, set_mask));
+  return detail::check_fair_progress_t(model, set_mask);
 }
 
 FairProgressResult check_lockout_freedom(const Model& model, PhilId victim) {
+  GDP_CHECK_MSG(victim >= 0 && victim < model.num_phils(),
+                "lockout victim " << victim << " is not one of the model's " << model.num_phils()
+                                  << " philosophers");
   return check_fair_progress(model, std::uint64_t{1} << victim);
 }
 

@@ -44,20 +44,24 @@ struct FairProgressResult {
   std::size_t num_states = 0;
   std::size_t num_mecs = 0;       // MECs of the restricted fragment
   std::size_t num_fair_mecs = 0;  // ... with actions of every philosopher
-  std::size_t witness_size = 0;   // states in the first reachable fair EC
-  std::optional<StateId> witness_state;
+  /// The first fair MEC (state ids ascending within it): the machine-checked
+  /// adversary region, which WitnessScheduler plays back. Set iff the
+  /// verdict is kProgressFails.
+  std::optional<EndComponent> witness;
 
   bool holds() const { return verdict == Verdict::kProgressCertain; }
   std::string summary() const;
 };
 
 /// Progress wrt the philosophers in `set_mask` (default: everyone — plain
-/// progress, the property of Theorem 3).
+/// progress, the property of Theorem 3). Throws PreconditionError unless
+/// the mask names at least one of the model's philosophers.
 FairProgressResult check_fair_progress(const Model& model,
                                        std::uint64_t set_mask = ~std::uint64_t{0});
 
 /// Lockout-freedom of philosopher `victim` (Theorem 4's property when it
-/// holds for every victim).
+/// holds for every victim). Throws PreconditionError unless
+/// 0 <= victim < model.num_phils().
 FairProgressResult check_lockout_freedom(const Model& model, PhilId victim);
 
 /// One-call convenience: explore + check.

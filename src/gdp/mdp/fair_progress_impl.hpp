@@ -1,17 +1,33 @@
-// Template definition of the verdict logic over an already-computed MEC
-// decomposition, generalized over the Model read API. Instantiated for
-// `Model` (fair_progress.cpp) and `store::ChunkedModel` (store.cpp):
-// the verdict, the witness choice and every count come out identical on
-// both paths because this is the one definition.
+// Template definition of the verdict logic, generalized over the Model read
+// API. Instantiated for `Model` (fair_progress.cpp) and
+// `store::ChunkedModel` (store.cpp), and reused by quant::analyze over the
+// MECs it already holds: the verdict, the witness EC and every count come
+// out identical on all paths because this is the one definition.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "gdp/mdp/end_components.hpp"
+#include "gdp/common/check.hpp"
+#include "gdp/mdp/end_components_impl.hpp"
 #include "gdp/mdp/fair_progress.hpp"
 
 namespace gdp::mdp::detail {
+
+/// The one precondition on a progress / target mask (bit p = philosopher
+/// p): it must name at least one of the model's philosophers. Masks are
+/// 64-bit, so models past 64 philosophers are refused too (Model
+/// construction refuses them; this guards hand-built callers).
+template <class ModelT>
+void require_phil_mask(const ModelT& model, std::uint64_t mask) {
+  const int phils = model.num_phils();
+  GDP_CHECK_MSG(phils <= 64, "target masks are 64-bit, so at most 64 philosophers are "
+                             "supported, got "
+                                 << phils);
+  const std::uint64_t all = phils >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << phils) - 1;
+  GDP_CHECK_MSG((mask & all) != 0,
+                "mask " << mask << " names none of the model's " << phils << " philosophers");
+}
 
 /// The witness is the first fair MEC (models are rooted, see Model).
 template <class ModelT>
@@ -25,13 +41,10 @@ FairProgressResult verdict_from_mecs_t(const ModelT& model, std::uint64_t set_ma
   for (const EndComponent& mec : mecs) {
     if (!mec.fair(model.num_phils())) continue;
     ++result.num_fair_mecs;
-    if (result.witness_size == 0) {
-      result.witness_size = mec.states.size();
-      result.witness_state = mec.states.front();
-    }
+    if (!result.witness) result.witness = mec;
   }
 
-  if (result.witness_size != 0) {
+  if (result.witness) {
     result.verdict = Verdict::kProgressFails;
   } else if (model.truncated()) {
     result.verdict = Verdict::kUnknownTruncated;
@@ -39,6 +52,12 @@ FairProgressResult verdict_from_mecs_t(const ModelT& model, std::uint64_t set_ma
     result.verdict = Verdict::kProgressCertain;
   }
   return result;
+}
+
+template <class ModelT>
+FairProgressResult check_fair_progress_t(const ModelT& model, std::uint64_t set_mask) {
+  require_phil_mask(model, set_mask);
+  return verdict_from_mecs_t(model, set_mask, maximal_end_components_t(model, set_mask));
 }
 
 }  // namespace gdp::mdp::detail

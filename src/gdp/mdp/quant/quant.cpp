@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <sstream>
 
-#include "gdp/common/check.hpp"
 #include "gdp/mdp/quant/quant_impl.hpp"
 
 namespace gdp::mdp::quant {
@@ -59,35 +58,13 @@ std::string QuantResult::summary() const {
       << " Pmax=" << format_interval(p_max, epsilon) << " Ptrap=" << format_interval(p_trap, epsilon)
       << " E[min steps]=" << format_interval(e_min, epsilon)
       << " E[max productive steps]=" << format_interval(e_max, epsilon) << " — " << num_states
-      << " states, " << num_quotient_nodes << " quotient nodes, " << num_avoid_mecs
-      << " avoiding MECs (" << num_fair_avoid_mecs << " fair)";
+      << " states, " << num_quotient_nodes << " quotient nodes, " << progress.num_mecs
+      << " avoiding MECs (" << progress.num_fair_mecs << " fair)";
   return out.str();
 }
 
 QuantResult analyze(const Model& model, std::uint64_t target_set, QuantOptions options) {
   return detail::analyze_t(model, target_set, options);
-}
-
-std::vector<QuantResult> analyze(const Model& model, const std::vector<std::uint64_t>& targets,
-                                 QuantOptions options) {
-  GDP_CHECK_MSG(options.epsilon > 0.0, "quant::analyze needs epsilon > 0");
-  GDP_CHECK_MSG(model.num_phils() <= 64,
-                "quant::analyze: target masks are 64-bit, so at most 64 philosophers are "
-                "supported, got "
-                    << model.num_phils());
-  for (const std::uint64_t target_set : targets) {
-    GDP_CHECK_MSG(target_set != 0, "quant::analyze needs non-empty target sets");
-  }
-  detail::SharedSweeps shared;
-  std::vector<QuantResult> results;
-  results.reserve(targets.size());
-  // Targets run in sequence (each one's sweeps already parallelize over the
-  // pool); only the SharedSweeps state crosses between them, so every entry
-  // matches the single-target call bit for bit.
-  for (const std::uint64_t target_set : targets) {
-    results.push_back(detail::analyze_one(model, target_set, options, shared));
-  }
-  return results;
 }
 
 QuantResult analyze(const algos::Algorithm& algo, const graph::Topology& t, QuantOptions options,

@@ -41,6 +41,11 @@
 //     computed by max value iteration on the MEC quotient. e_max is
 //     infinite iff a fair avoiding MEC is meal-free-reachable (p_min < 1).
 //
+// One decomposition, one answer. The fair avoiding MECs above are the
+// ones check_fair_progress decides on; analyze() computes them once and
+// returns that verdict, witness EC included, as QuantResult::progress, so a
+// caller that wants both never decomposes the fragment twice.
+//
 // Soundness. Value iteration alone can stop at any sup-norm residual and
 // still be arbitrarily far from the true value. Following
 // Haddad–Monmege-style interval iteration, the checker first collapses the
@@ -66,8 +71,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "gdp/mdp/fair_progress.hpp"
 #include "gdp/mdp/model.hpp"
 
 namespace gdp::mdp::quant {
@@ -137,8 +142,11 @@ struct QuantResult {
   std::size_t num_states = 0;
   /// Nodes of the non-target fragment's MEC quotient (terminals excluded).
   std::size_t num_quotient_nodes = 0;
-  std::size_t num_avoid_mecs = 0;       // MECs of the non-target fragment
-  std::size_t num_fair_avoid_mecs = 0;  // ... with actions of every philosopher
+  /// The qualitative verdict on the same mask, decided from the fragment's
+  /// MEC decomposition this analysis runs anyway: equal, field by field and
+  /// witness EC included, to check_fair_progress(model, target_set).
+  /// progress.num_mecs / num_fair_mecs count the avoiding MECs.
+  FairProgressResult progress;
   /// A fair avoiding MEC is reachable without any target meal on the way
   /// (the qualitative complement of p_min = 1).
   bool fair_trap_reachable = false;
@@ -171,22 +179,13 @@ struct QuantResult {
 
 /// Quantitative analysis of `model` for the target set "some philosopher of
 /// `target_set` (bitmask) eats" — the same target the qualitative
-/// check_fair_progress(model, set_mask) decides. Singleton masks give the
-/// lockout-freedom quantities of philosopher i.
+/// check_fair_progress(model, set_mask) decides, and whose verdict the
+/// result carries as `progress`. Singleton masks give the lockout-freedom
+/// quantities of philosopher i. Throws PreconditionError unless the mask
+/// names at least one of the model's philosophers (the precondition
+/// check_fair_progress shares) and epsilon > 0.
 QuantResult analyze(const Model& model, std::uint64_t target_set = ~std::uint64_t{0},
                     QuantOptions options = {});
-
-/// Multi-target analysis: one QuantResult per entry of `targets`, each
-/// bit-identical to analyze(model, targets[i], options) — but the
-/// target-independent sweeps are computed ONCE and shared: the reachable-
-/// state BFS, the full-model MEC decomposition and the full-model quotient
-/// that p_trap needs (the fragment MECs and quotients depend on the target
-/// and stay per-target). Checking lockout freedom for all n philosophers
-/// (targets = the n singleton masks) this way saves n-1 reachability
-/// sweeps and up to n-1 full MEC decompositions over calling analyze in a
-/// loop. Requires every mask to be non-empty.
-std::vector<QuantResult> analyze(const Model& model, const std::vector<std::uint64_t>& targets,
-                                 QuantOptions options = {});
 
 /// One-call convenience: explore (at options.threads, capped at
 /// options.max_states) + analyze.

@@ -55,6 +55,7 @@
 #include "gdp/common/check.hpp"
 #include "gdp/common/pool.hpp"
 #include "gdp/mdp/end_components_impl.hpp"
+#include "gdp/mdp/fair_progress_impl.hpp"
 #include "gdp/mdp/quant/quant.hpp"
 #include "gdp/obs/obs.hpp"
 #include "gdp/obs/timeline.hpp"
@@ -400,9 +401,9 @@ inline Phase iterate_reach_max(const Quotient& q, const std::vector<double>& pin
 }
 
 /// Shared lower-iterate / optimistic-upper-verify driver for the two
-/// expected-time kernels. `update_lower(i)` returns the clamped next lower
-/// value of element i; `apply_upper(src, dst)` writes one Bellman sweep of
-/// the candidate upper bound; `active(i)` selects the domain. On truncated
+/// expected-time kernels. `bell(i, val)` is the Bellman operator at element
+/// i over the vector `val`; the driver applies it to both bounds (clamping
+/// each monotone); `active(i)` selects the domain. On truncated
 /// models (`complete` == false) only the lower bound is iterated — frontier
 /// states forbid any finite upper certificate.
 ///
@@ -413,10 +414,9 @@ inline Phase iterate_reach_max(const Quotient& q, const std::vector<double>& pin
 /// their gap is <= epsilon on every active, finite element. An element
 /// whose LOWER bound diverges to +inf is a certificate of infinity in
 /// itself and is excluded from the width test ([inf, inf] has width 0).
-template <typename Active, typename UpdateLower, typename ApplyUpper>
+template <typename Active, typename Bellman>
 Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& options,
-                        const Active& active, const UpdateLower& update_lower,
-                        const ApplyUpper& apply_upper, std::vector<double>& lo,
+                        const Active& active, const Bellman& bell, std::vector<double>& lo,
                         std::vector<double>& hi) {
   const int threads = phase_threads(n, options);
   lo.assign(n, 0.0);
@@ -435,7 +435,7 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
       double r = 0.0;
       for (std::size_t i = a; i < b; ++i) {
         if (!active(i)) continue;
-        lo2[i] = std::max(lo[i], update_lower(i, lo));
+        lo2[i] = std::max(lo[i], bell(i, lo));
         if (std::isfinite(lo2[i])) r = std::max(r, lo2[i] - lo[i]);
       }
       partial[a / kGrain] = r;
@@ -451,8 +451,8 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
       double w = 0.0;
       for (std::size_t i = a; i < b; ++i) {
         if (!active(i)) continue;
-        lo2[i] = std::max(lo[i], update_lower(i, lo));
-        up2[i] = std::min(up[i], apply_upper(i, up));
+        lo2[i] = std::max(lo[i], bell(i, lo));
+        up2[i] = std::min(up[i], bell(i, up));
         if (std::isfinite(lo2[i])) w = std::max(w, up2[i] - lo2[i]);
       }
       partial[a / kGrain] = w;
@@ -499,7 +499,7 @@ Phase drive_time_bounds(std::size_t n, bool complete, const QuantOptions& option
       double w = 0.0;
       for (std::size_t i = a; i < b; ++i) {
         if (!active(i)) continue;
-        up2[i] = apply_upper(i, up);
+        up2[i] = bell(i, up);
         ok = ok && up2[i] <= up[i];
         if (std::isfinite(lo[i])) w = std::max(w, up2[i] - lo[i]);
       }
@@ -555,8 +555,8 @@ inline Phase iterate_time_max(const Quotient& q, const std::vector<std::uint8_t>
     return bell_max(q, static_cast<std::uint32_t>(i), val, 0.0, 0.0, 1.0, kInf);
   };
   return drive_time_bounds(
-      q.num_nodes, complete, options, [&](std::size_t i) { return domain[i] != 0; }, bell, bell,
-      lo, hi);
+      q.num_nodes, complete, options, [&](std::size_t i) { return domain[i] != 0; }, bell, lo,
+      hi);
 }
 
 /// Min expected steps over the RAW states of the meal-free-reachable
@@ -596,7 +596,7 @@ Phase iterate_time_min(const ModelT& model, std::uint64_t target_mask,
   };
   return drive_time_bounds(
       model.num_states(), !model.truncated(), options,
-      [&](std::size_t i) { return domain[i] != 0 && !bad[i]; }, bell, bell, lo, hi);
+      [&](std::size_t i) { return domain[i] != 0 && !bad[i]; }, bell, lo, hi);
 }
 
 /// Raw states reachable from the initial state through meal-free expanded
@@ -631,33 +631,13 @@ inline Interval make_interval(double lo, double hi) {
   return lo <= hi ? Interval{lo, hi} : Interval{hi, lo};
 }
 
-/// Target-independent state shared across the targets of one multi-target
-/// analyze() call: the full-model pieces p_trap needs (MECs with avoid_set
-/// = 0 and the target_terminal = false quotient — build_quotient ignores
-/// the target mask there), built lazily on first demand, since targets
-/// with no fair avoiding MEC on a complete model never touch them.
-struct SharedSweeps {
-  bool full_built = false;
-  std::vector<EndComponent> full_mecs;
-  Quotient full_q;
-
-  template <class ModelT>
-  void ensure_full(const ModelT& model, const QuantOptions& options) {
-    if (full_built) return;
-    full_mecs = mdp::detail::maximal_end_components_t(model, 0);
-    full_q = build_quotient(model, full_mecs, /*target_mask=*/0, /*target_terminal=*/false,
-                            options);
-    full_built = true;
-  }
-};
-
-/// The per-target core: everything in analyze() that depends on the target
-/// mask. Reads the target-independent pieces from `shared` (building them
-/// lazily), so n targets cost at most one full MEC decomposition between
-/// them.
+/// The analysis of one target mask: everything analyze() computes, over
+/// one MEC decomposition of the target's meal-free fragment — the same one
+/// check_fair_progress decides on, so `progress` is that verdict.
 template <class ModelT>
-QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
-                        const QuantOptions& options, SharedSweeps& shared) {
+QuantResult analyze_t(const ModelT& model, std::uint64_t target_set, const QuantOptions& options) {
+  GDP_CHECK_MSG(options.epsilon > 0.0, "quant::analyze needs epsilon > 0");
+  mdp::detail::require_phil_mask(model, target_set);
   obs::Span span("quant.analyze");
   QuantResult result;
   result.target_set = target_set;
@@ -666,15 +646,12 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
 
   const bool complete = !model.truncated();
 
-  // MECs of the meal-free fragment, and which of them are fair traps.
+  // MECs of the meal-free fragment (the fair ones are the traps) and the
+  // verdict they decide.
   const std::vector<EndComponent> mecs =
       mdp::detail::maximal_end_components_t(model, target_set);
-  result.num_avoid_mecs = mecs.size();
-  std::vector<std::uint8_t> fair_mec(mecs.size(), 0);
-  for (std::size_t m = 0; m < mecs.size(); ++m) {
-    fair_mec[m] = mecs[m].fair(model.num_phils()) ? 1 : 0;
-    result.num_fair_avoid_mecs += fair_mec[m];
-  }
+  result.progress = mdp::detail::verdict_from_mecs_t(model, target_set, mecs);
+  const int phils = model.num_phils();
 
   const Quotient fq =
       build_quotient(model, mecs, target_set, /*target_terminal=*/true, options);
@@ -682,8 +659,8 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
 
   const std::vector<std::uint8_t> node_reach = fq.reachable_nodes();
   std::vector<std::uint8_t> fair_node(fq.num_nodes, 0);
-  for (std::size_t m = 0; m < mecs.size(); ++m) {
-    if (fair_mec[m]) fair_node[fq.node_of[mecs[m].states.front()]] = 1;
+  for (const EndComponent& mec : mecs) {
+    if (mec.fair(phils)) fair_node[fq.node_of[mec.states.front()]] = 1;
   }
   for (std::uint32_t i = 0; i < fq.num_nodes; ++i) {
     if (fair_node[i] && node_reach[i]) result.fair_trap_reachable = true;
@@ -779,18 +756,21 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
   }
 
   // --- p_trap: max P(reach a fair avoiding MEC), meals allowed en route. ---
-  if (result.num_fair_avoid_mecs == 0 && complete) {
+  if (result.progress.num_fair_mecs == 0 && complete) {
     result.p_trap = {0.0, 0.0};
   } else {
-    shared.ensure_full(model, options);
-    const Quotient& full_q = shared.full_q;
+    // The full-model MECs (avoid_set = 0) and their target_terminal = false
+    // quotient; build_quotient ignores the target mask there.
+    const Quotient full_q =
+        build_quotient(model, mdp::detail::maximal_end_components_t(model, 0),
+                       /*target_mask=*/0, /*target_terminal=*/false, options);
     // Goal nodes: full-model MEC classes holding a fair-trap state (from
     // anywhere in such a MEC the trap is internally reachable with
     // probability 1, so the whole class counts as reached).
     std::vector<double> pins(full_q.num_nodes, -1.0);
-    for (std::size_t m = 0; m < mecs.size(); ++m) {
-      if (!fair_mec[m]) continue;
-      for (const StateId s : mecs[m].states) {
+    for (const EndComponent& mec : mecs) {
+      if (!mec.fair(phils)) continue;
+      for (const StateId s : mec.states) {
         if (is_node(full_q.node_of[s])) pins[full_q.node_of[s]] = 1.0;
       }
     }
@@ -819,24 +799,6 @@ QuantResult analyze_one(const ModelT& model, std::uint64_t target_set,
   stalls_ctr.add(result.stats.stalled_phases);
   sweeps_hist.record(result.sweeps);
   return result;
-}
-
-/// Single-target entry with the argument checks of the public analyze();
-/// the one definition both Model and ChunkedModel verdicts go through.
-template <class ModelT>
-QuantResult analyze_t(const ModelT& model, std::uint64_t target_set, const QuantOptions& options) {
-  GDP_CHECK_MSG(options.epsilon > 0.0, "quant::analyze needs epsilon > 0");
-  GDP_CHECK_MSG(target_set != 0, "quant::analyze needs a non-empty target set");
-  // target_set is one 64-bit mask (bit p = philosopher p): beyond 64
-  // philosophers the mask cannot address every philosopher and verdicts
-  // would be silently wrong. Model construction refuses such models too;
-  // this guards hand-built callers at the mask entry point.
-  GDP_CHECK_MSG(model.num_phils() <= 64,
-                "quant::analyze: target masks are 64-bit, so at most 64 philosophers are "
-                "supported, got "
-                    << model.num_phils());
-  SharedSweeps shared;
-  return analyze_one(model, target_set, options, shared);
 }
 
 }  // namespace gdp::mdp::quant::detail

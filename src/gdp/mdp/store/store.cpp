@@ -713,8 +713,7 @@ std::vector<EndComponent> maximal_end_components(const ChunkedModel& model,
 }
 
 FairProgressResult check_fair_progress(const ChunkedModel& model, std::uint64_t set_mask) {
-  return mdp::detail::verdict_from_mecs_t(model, set_mask,
-                                          maximal_end_components(model, set_mask));
+  return mdp::detail::check_fair_progress_t(model, set_mask);
 }
 
 quant::QuantResult analyze(const ChunkedModel& model, std::uint64_t target_set,

@@ -13,6 +13,7 @@
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/end_components.hpp"
 #include "gdp/mdp/fair_progress.hpp"
+#include "gdp/mdp/quant/quant.hpp"
 #include "gdp/mdp/store/store.hpp"
 
 namespace gdp::mdp {
@@ -218,9 +219,12 @@ TEST(Theorems, LehmannRabinCorrectOnRings) {
 }
 
 TEST(Theorems, Thm1Lr1FailsOnFig1a) {
-  const auto r = check_fair_progress(explore_named("lr1", graph::fig1a()));
+  const Model m = explore_named("lr1", graph::fig1a());
+  const auto r = check_fair_progress(m);
   EXPECT_EQ(r.verdict, Verdict::kProgressFails);
-  EXPECT_GT(r.witness_size, 0u);
+  ASSERT_TRUE(r.witness.has_value());
+  EXPECT_FALSE(r.witness->states.empty());
+  EXPECT_TRUE(r.witness->fair(m.num_phils()));
 }
 
 TEST(Theorems, Thm1Lr1FailsOnRingChord) {
@@ -295,6 +299,39 @@ TEST(Theorems, Lr2LockoutFreeOnRing3) {
   for (PhilId v = 0; v < 3; ++v) {
     EXPECT_EQ(check_lockout_freedom(m, v).verdict, Verdict::kProgressCertain) << v;
   }
+}
+
+// gdp2 on ring(3) has philosophers 0..2: a victim outside that range names
+// nobody (and 1 << victim is undefined past 63 or below 0), so the check
+// refuses rather than deciding a property of a philosopher that does not
+// exist.
+TEST(Verdicts, LockoutVictimMustBeAPhilosopher) {
+  const Model m = explore_named("gdp2", graph::classic_ring(3));
+  for (const PhilId v : {0, 1, 2}) EXPECT_NO_THROW(check_lockout_freedom(m, v)) << v;
+  for (const PhilId v : {3, 63, 64, 1000, -1}) {
+    EXPECT_THROW(check_lockout_freedom(m, v), PreconditionError) << v;
+  }
+}
+
+// One precondition for every mask entry point, contiguous and chunked, the
+// qualitative check and the quantitative analysis alike: the mask must name
+// at least one of the model's philosophers.
+TEST(Verdicts, MaskMustNameAPhilosopher) {
+  const auto algo = algos::make_algorithm("lr1");
+  const auto t = graph::classic_ring(3);
+  const Model m = explore(*algo, t);
+  const store::ChunkedModel chunked = store::explore(*algo, t, {.chunk_states = 512});
+  for (const std::uint64_t mask : {std::uint64_t{0}, std::uint64_t{0b1000},
+                                   std::uint64_t{1} << 63}) {
+    SCOPED_TRACE("mask " + std::to_string(mask));
+    EXPECT_THROW(check_fair_progress(m, mask), PreconditionError);
+    EXPECT_THROW(quant::analyze(m, mask), PreconditionError);
+    EXPECT_THROW(store::check_fair_progress(chunked, mask), PreconditionError);
+    EXPECT_THROW(store::analyze(chunked, mask), PreconditionError);
+  }
+  // A mask naming P0 among outside bits is a mask on P0.
+  EXPECT_EQ(check_fair_progress(m, 0b1001).num_mecs, check_fair_progress(m, 0b0001).num_mecs);
+  EXPECT_NO_THROW(quant::analyze(m, 0b1001));
 }
 
 TEST(Verdicts, SummaryMentionsTheOutcome) {

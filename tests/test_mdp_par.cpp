@@ -20,6 +20,7 @@
 #include "gdp/mdp/fair_progress.hpp"
 #include "gdp/mdp/model.hpp"
 #include "gdp/mdp/witness.hpp"
+#include "verdict_expect.hpp"
 
 namespace gdp::mdp {
 namespace {
@@ -62,17 +63,6 @@ void expect_indexes_equal(const StateIndex& ref, const StateIndex& index) {
     ASSERT_TRUE(found.has_value()) << "state " << id;
     EXPECT_EQ(*found, id);
   }
-}
-
-void expect_results_identical(const FairProgressResult& a, const FairProgressResult& b) {
-  EXPECT_EQ(a.verdict, b.verdict);
-  EXPECT_EQ(a.avoid_set, b.avoid_set);
-  EXPECT_EQ(a.num_states, b.num_states);
-  EXPECT_EQ(a.num_mecs, b.num_mecs);
-  EXPECT_EQ(a.num_fair_mecs, b.num_fair_mecs);
-  EXPECT_EQ(a.witness_size, b.witness_size);
-  EXPECT_EQ(a.witness_state.has_value(), b.witness_state.has_value());
-  if (a.witness_state) EXPECT_EQ(*a.witness_state, *b.witness_state);
 }
 
 /// Model + StateIndex at every thread count against the threads=1 run.
@@ -140,7 +130,8 @@ TEST(ExploreThreads, Lr1Fig1aVerdictFails) {
   EXPECT_EQ(ref.verdict, Verdict::kProgressFails);
   for (const int threads : thread_counts()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
-    expect_results_identical(ref, check_fair_progress(*algo, graph::fig1a(), {.threads = threads}));
+    testutil::expect_same_verdict(ref,
+                                  check_fair_progress(*algo, graph::fig1a(), {.threads = threads}));
   }
 }
 

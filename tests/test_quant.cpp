@@ -18,6 +18,7 @@
 #include "gdp/mdp/model.hpp"
 #include "gdp/mdp/quant/quant.hpp"
 #include "gdp/mdp/quant/quant_impl.hpp"
+#include "verdict_expect.hpp"
 
 namespace gdp::mdp::quant {
 namespace {
@@ -65,8 +66,9 @@ TEST(QuantHand, CertainTwoState) {
   expect_point(r.p_trap, 0.0);
   expect_point(r.e_min, 1.0);
   expect_point(r.e_max, 1.0);
-  EXPECT_EQ(r.num_avoid_mecs, 1u);       // {s0} through P1's self-loop
-  EXPECT_EQ(r.num_fair_avoid_mecs, 0u);  // P0 has no action inside it
+  EXPECT_EQ(r.progress.num_mecs, 1u);       // {s0} through P1's self-loop
+  EXPECT_EQ(r.progress.num_fair_mecs, 0u);  // P0 has no action inside it
+  EXPECT_EQ(r.progress.verdict, Verdict::kProgressCertain);
   EXPECT_FALSE(r.fair_trap_reachable);
 }
 
@@ -86,15 +88,18 @@ TEST(QuantHand, FairTrapThreeState) {
   EXPECT_EQ(r.certainty, Certainty::kCertified);
   EXPECT_FALSE(r.progress_certain());
   EXPECT_TRUE(r.fair_trap_reachable);
-  EXPECT_EQ(r.num_fair_avoid_mecs, 1u);
+  EXPECT_EQ(r.progress.num_fair_mecs, 1u);
   expect_point(r.p_min, 0.0);
   expect_point(r.p_max, 1.0);
   expect_point(r.p_trap, 1.0);
   expect_point(r.e_min, 1.0);
   EXPECT_EQ(r.e_max.lower, kInfD);  // certified infinite
   EXPECT_EQ(r.e_max.upper, kInfD);
-  // The qualitative checker must agree.
+  // The qualitative checker must agree, and the analysis carries its
+  // verdict: the trap {s2} is the witness.
   EXPECT_EQ(check_fair_progress(m).verdict, Verdict::kProgressFails);
+  ASSERT_TRUE(r.progress.witness.has_value());
+  EXPECT_EQ(r.progress.witness->states, std::vector<StateId>{2});
 }
 
 // Geometric meal: P0's action eats with probability 1/2 and retries
@@ -235,6 +240,7 @@ void expect_identical_intervals(const QuantResult& a, const QuantResult& b) {
   EXPECT_EQ(a.certainty, b.certainty);
   EXPECT_EQ(a.sweeps, b.sweeps);
   EXPECT_EQ(a.num_quotient_nodes, b.num_quotient_nodes);
+  testutil::expect_same_verdict(a.progress, b.progress);
 }
 
 TEST(QuantDeterminism, BitIdenticalAcrossThreadCounts) {
@@ -273,55 +279,13 @@ TEST(QuantDeterminism, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The multi-target entry point shares the full-model MEC/quotient pieces
-// across targets; every per-target result
-// must still match the single-target call bit for bit — including the
-// sweep counters, which would drift if any shared piece leaked
-// target-dependent state.
-TEST(QuantMultiTarget, BitIdenticalToSingleTargetCalls) {
-  struct Case {
-    const char* algo;
-    graph::Topology t;
-  };
-  const Case cases[] = {{"lr1", graph::classic_ring(3)},
-                        {"lr1", graph::parallel_arcs(3)},
-                        {"gdp1", graph::classic_ring(3)}};
-  for (const Case& c : cases) {
-    SCOPED_TRACE(std::string(c.algo) + " on " + c.t.name());
-    const auto algo = algos::make_algorithm(c.algo);
-    const Model m = explore(*algo, c.t);
-
-    // All singleton masks (per-philosopher lockout freedom) plus the union
-    // target and a repeat — repeats must not perturb the shared state.
-    std::vector<std::uint64_t> targets;
-    for (int p = 0; p < c.t.num_phils(); ++p) targets.push_back(std::uint64_t{1} << p);
-    targets.push_back(~std::uint64_t{0});
-    targets.push_back(std::uint64_t{1});
-
-    for (const int threads : quant_thread_counts()) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      QuantOptions opts;
-      opts.threads = threads;
-      const std::vector<QuantResult> multi = analyze(m, targets, opts);
-      ASSERT_EQ(multi.size(), targets.size());
-      for (std::size_t i = 0; i < targets.size(); ++i) {
-        SCOPED_TRACE("target mask " + std::to_string(targets[i]));
-        const QuantResult single = analyze(m, targets[i], opts);
-        EXPECT_EQ(multi[i].target_set, targets[i]);
-        expect_identical_intervals(single, multi[i]);
-        EXPECT_EQ(single.num_avoid_mecs, multi[i].num_avoid_mecs);
-        EXPECT_EQ(single.num_fair_avoid_mecs, multi[i].num_fair_avoid_mecs);
-        EXPECT_EQ(single.fair_trap_reachable, multi[i].fair_trap_reachable);
-      }
-    }
-  }
-}
-
 // --- The acceptance matrix: every (algorithm x topology) instance the
 // parallel-engine suite pins, quantified. kProgressCertain instances must
 // certify Pmin = 1; kProgressFails instances must certify the gap
 // (Pmin < 1 or a positive trap probability); intervals are certified to
-// width <= 1e-6 and identical at threads {1, 2, hw}. ---
+// width <= 1e-6 and identical at threads {1, 2, hw}; and the verdict the
+// analysis carries is check_fair_progress's, field by field and witness EC
+// included, at every thread count. ---
 
 void expect_quant_matches_verdict(const std::string& algo_name, const graph::Topology& t) {
   SCOPED_TRACE(algo_name + " on " + t.name());
@@ -338,6 +302,7 @@ void expect_quant_matches_verdict(const std::string& algo_name, const graph::Top
     QuantOptions opts;
     opts.threads = threads;
     const QuantResult r = analyze(m, ~std::uint64_t{0}, opts);
+    testutil::expect_same_verdict(r.progress, verdict);
     ASSERT_EQ(r.certainty, Certainty::kCertified);
     EXPECT_LE(r.p_min.width(), 1e-6);
     EXPECT_LE(r.p_max.width(), 1e-6);

@@ -35,6 +35,7 @@
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/store/store.hpp"
 #include "gdp/obs/obs.hpp"
+#include "verdict_expect.hpp"
 
 namespace gdp::mdp::store {
 namespace {
@@ -598,11 +599,7 @@ TEST(Store, AnalysesMatchContiguousPathOnCompleteModels) {
 
   const auto fair_store = check_fair_progress(chunked);
   const auto fair_direct = mdp::check_fair_progress(model);
-  EXPECT_EQ(fair_store.verdict, fair_direct.verdict);
-  EXPECT_EQ(fair_store.num_mecs, fair_direct.num_mecs);
-  EXPECT_EQ(fair_store.num_fair_mecs, fair_direct.num_fair_mecs);
-  EXPECT_EQ(fair_store.witness_size, fair_direct.witness_size);
-  EXPECT_EQ(fair_store.witness_state, fair_direct.witness_state);
+  testutil::expect_same_verdict(fair_store, fair_direct);
   // Theorem 2 on three parallel arcs: LR2 progress fails — through chunks too.
   EXPECT_EQ(fair_store.verdict, Verdict::kProgressFails);
 
@@ -631,8 +628,7 @@ TEST(Store, TruncatedModelsKeepRefusalSemantics) {
   // verdict as the contiguous path, and quant can never certify.
   const auto fair_store = check_fair_progress(chunked);
   const auto fair_direct = mdp::check_fair_progress(model);
-  EXPECT_EQ(fair_store.verdict, fair_direct.verdict);
-  EXPECT_EQ(fair_store.witness_size, fair_direct.witness_size);
+  testutil::expect_same_verdict(fair_store, fair_direct);
 
   const auto quant_store = analyze(chunked);
   EXPECT_EQ(quant_store.certainty, quant::Certainty::kTruncated);
@@ -683,11 +679,7 @@ TEST(Store, ChunkNativeVerdictsMatchMaterializedPath) {
 
       const auto fair_store = check_fair_progress(chunked, ~std::uint64_t{0});
       const auto fair_direct = mdp::check_fair_progress(model, ~std::uint64_t{0});
-      EXPECT_EQ(fair_store.verdict, fair_direct.verdict);
-      EXPECT_EQ(fair_store.num_mecs, fair_direct.num_mecs);
-      EXPECT_EQ(fair_store.num_fair_mecs, fair_direct.num_fair_mecs);
-      EXPECT_EQ(fair_store.witness_size, fair_direct.witness_size);
-      EXPECT_EQ(fair_store.witness_state, fair_direct.witness_state);
+      testutil::expect_same_verdict(fair_store, fair_direct);
 
       quant::QuantOptions qopts;
       qopts.threads = threads;
@@ -700,6 +692,8 @@ TEST(Store, ChunkNativeVerdictsMatchMaterializedPath) {
       EXPECT_EQ(quant_store.e_min, quant_direct.e_min);
       EXPECT_EQ(quant_store.e_max, quant_direct.e_max);
       EXPECT_EQ(quant_store.sweeps, quant_direct.sweeps);
+      // One decomposition, one answer: the analysis carries the verdict.
+      testutil::expect_same_verdict(quant_store.progress, fair_store);
       if (chunked.truncated()) {
         EXPECT_EQ(quant_store.certainty, quant::Certainty::kTruncated);
       }
@@ -778,9 +772,7 @@ TEST(Store, BoundedResidencyCapsResidentSetWithoutChangingVerdicts) {
   unbounded_opts.max_resident_chunks = 0;
   const ChunkedModel unbounded = explore(*algo, t, unbounded_opts);
   const auto fair_ref = check_fair_progress(unbounded);
-  EXPECT_EQ(fair_bounded.verdict, fair_ref.verdict);
-  EXPECT_EQ(fair_bounded.num_mecs, fair_ref.num_mecs);
-  EXPECT_EQ(fair_bounded.witness_size, fair_ref.witness_size);
+  testutil::expect_same_verdict(fair_bounded, fair_ref);
   const auto quant_ref = analyze(unbounded);
   EXPECT_EQ(quant_bounded.certainty, quant_ref.certainty);
   EXPECT_EQ(quant_bounded.p_min, quant_ref.p_min);

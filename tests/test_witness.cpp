@@ -13,21 +13,12 @@
 namespace gdp::mdp {
 namespace {
 
-/// Finds the first fair EC of the non-eating fragment (explored models are
-/// rooted, so every EC is reachable).
-std::optional<EndComponent> fair_witness(const Model& model) {
-  for (const EndComponent& mec : maximal_end_components(model)) {
-    if (mec.fair(model.num_phils())) return mec;
-  }
-  return std::nullopt;
-}
-
 TEST(Witness, SynthesizedAdversaryTrapsLr1OnParallel3) {
   const auto t = graph::parallel_arcs(3);
   const auto lr1 = algos::make_algorithm("lr1");
   StateIndex index;
   const Model model = explore_indexed(*lr1, t, index, {.max_states = 1'000'000});
-  const auto ec = fair_witness(model);
+  const auto ec = check_fair_progress(model).witness;
   ASSERT_TRUE(ec.has_value());
 
   int trapped = 0;
@@ -54,7 +45,7 @@ TEST(Witness, TrappedRunsStopEatingPermanently) {
   const auto lr1 = algos::make_algorithm("lr1");
   StateIndex index;
   const Model model = explore_indexed(*lr1, t, index, {.max_states = 1'000'000});
-  const auto ec = fair_witness(model);
+  const auto ec = check_fair_progress(model).witness;
   ASSERT_TRUE(ec.has_value());
 
   for (int trial = 0; trial < 10; ++trial) {
@@ -79,7 +70,7 @@ TEST(Witness, FairRotationInsideTheComponent) {
   const auto lr1 = algos::make_algorithm("lr1");
   StateIndex index;
   const Model model = explore_indexed(*lr1, t, index, {.max_states = 1'000'000});
-  const auto ec = fair_witness(model);
+  const auto ec = check_fair_progress(model).witness;
   ASSERT_TRUE(ec.has_value());
 
   WitnessScheduler sched(model, index, *ec);
@@ -98,7 +89,7 @@ TEST(Witness, NoFairWitnessWhereProgressCertified) {
     const auto algo = algos::make_algorithm(name);
     const auto t = graph::parallel_arcs(3);
     const Model model = explore(*algo, t, {.max_states = 1'000'000});
-    EXPECT_FALSE(fair_witness(model).has_value()) << name;
+    EXPECT_FALSE(check_fair_progress(model).witness.has_value()) << name;
   }
 }
 
