@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "gdp/common/check.hpp"
+#include "gdp/graph/algorithms.hpp"
 #include "gdp/obs/obs.hpp"
 #include "gdp/rng/rng.hpp"
 #include "gdp/runtime/atomic_fork.hpp"
@@ -27,6 +28,17 @@ Kind parse_kind(const std::string& name) {
   if (name == "ticket") return Kind::kTicket;
   GDP_CHECK_MSG(false, "run_threads: unsupported algorithm '" << name << "'");
   __builtin_unreachable();
+}
+
+/// The classic ring: one connected cycle with as many forks as philosophers,
+/// every fork shared by two. Only there do n-1 tickets rule out circular
+/// wait (see algos/ticket.hpp).
+bool is_classic_ring(const graph::Topology& t) {
+  if (t.num_forks() != t.num_phils() || !graph::is_connected(t)) return false;
+  for (ForkId f = 0; f < t.num_forks(); ++f) {
+    if (t.degree(f) != 2) return false;
+  }
+  return true;
 }
 
 bool uses_books(Kind kind) { return kind == Kind::kLr2 || kind == Kind::kGdp2 || kind == Kind::kGdp2c; }
@@ -288,6 +300,10 @@ RuntimeResult run_threads(const graph::Topology& t, const RuntimeConfig& config)
 
   Shared shared(t);
   shared.kind = parse_kind(config.algorithm);
+  GDP_CHECK_MSG(shared.kind != Kind::kTicket || config.duration.count() > 0 ||
+                    is_classic_ring(t),
+                "run_threads: ticket may deadlock off the classic ring, so a meal target "
+                "alone may never be reached; set a duration");
   shared.m = config.m != 0 ? config.m : t.num_forks();
   GDP_CHECK_MSG(shared.m >= t.num_forks(), "GDP requires m >= k");
   shared.p_left = config.p_left;

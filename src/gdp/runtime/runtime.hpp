@@ -4,7 +4,10 @@
 // latency / fairness at hardware speed (experiment E12).
 //
 // Supported algorithms: lr1, lr2, gdp1, gdp2, gdp2c, ordered, ticket.
-// (colored and arbiter are simulation-only baselines.)
+// (colored and arbiter are simulation-only baselines.) ticket is
+// deadlock-free only on the classic ring (algos/ticket.hpp): off the ring
+// its philosophers can close a circular wait, so a run may end on its
+// duration with few meals, and a duration is required there.
 #pragma once
 
 #include <chrono>
@@ -21,7 +24,8 @@ struct RuntimeConfig {
   std::uint64_t seed = 1;
 
   /// Stop conditions: whichever hits first. A zero disables it; at least
-  /// one must be set.
+  /// one must be set. A ticket run off the classic ring needs a duration:
+  /// a circular wait would keep a meal target alone from ever being hit.
   std::chrono::milliseconds duration{0};
   std::uint64_t target_meals = 0;
 
