@@ -11,6 +11,13 @@ using sim::SimState;
 using sim::StepEvent;
 
 void Algorithm::validate(const graph::Topology& t) const {
+  // Written so that NaN fails every comparison and is rejected.
+  GDP_CHECK_MSG(config_.p_left >= 0.0 && config_.p_left <= 1.0,
+                "p_left must lie in [0, 1], got " << config_.p_left);
+  if (config_.think == ThinkMode::kCoin) {
+    GDP_CHECK_MSG(config_.think_coin > 0.0 && config_.think_coin <= 1.0,
+                  "think_coin must lie in (0, 1], got " << config_.think_coin);
+  }
   if (uses_books()) {
     GDP_CHECK_MSG(t.max_degree() <= 64,
                   name() << " keeps per-sharer request bits; fork degree must be <= 64, got "
@@ -20,6 +27,7 @@ void Algorithm::validate(const graph::Topology& t) const {
     GDP_CHECK_MSG(config_.m >= t.num_forks(),
                   "GDP requires m >= k: m=" << config_.m << ", k=" << t.num_forks());
   }
+  if (uses_numbers()) (void)effective_m(t);  // throws unless m fits the nr field
 }
 
 int Algorithm::effective_m(const graph::Topology& t) const {

@@ -19,8 +19,9 @@
 
 namespace gdp::algos {
 
-/// How the non-terminating `think` action is modelled (see DESIGN.md §1
-/// substitutions).
+/// How the paper's `think` action, which may never end, is modelled: the
+/// proofs quantify over philosophers that all become hungry, and the
+/// throughput experiments need thinking that ends at random.
 enum class ThinkMode : std::uint8_t {
   /// think ends at the philosopher's next scheduled step: the "all
   /// philosophers hungry" setting every proof quantifies over.
@@ -61,8 +62,10 @@ class Algorithm {
   /// Fully distributed = no processes/memory beyond philosophers & forks.
   virtual bool fully_distributed() const { return true; }
 
-  /// Throws PreconditionError if this algorithm cannot run on `t`
-  /// (e.g. colored needs an even ring; books need degree <= 64).
+  /// Throws PreconditionError if this algorithm cannot run on `t` with its
+  /// config (e.g. colored needs an even ring; books need degree <= 64;
+  /// p_left must lie in [0, 1], in kCoin mode think_coin in (0, 1], and a
+  /// GDP numbering range in [k, 65535]).
   virtual void validate(const graph::Topology& t) const;
 
   /// The symmetric initial configuration: everyone thinking, all forks free
@@ -95,8 +98,9 @@ class Algorithm {
   AlgoConfig config_;
 };
 
-/// Factory by name: "lr1", "lr2", "gdp1", "gdp2", "ordered", "colored",
-/// "arbiter", "ticket". Throws PreconditionError for unknown names.
+/// Factory by name: "lr1", "lr2", "gdp1", "gdp2", "gdp2c", "ordered",
+/// "colored" (the two-fork programs of two_fork.hpp), "arbiter", "ticket".
+/// Throws PreconditionError for unknown names.
 std::unique_ptr<Algorithm> make_algorithm(const std::string& name, AlgoConfig config = {});
 
 /// All factory names, in presentation order.

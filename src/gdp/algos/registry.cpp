@@ -1,25 +1,14 @@
 // Factory implementation for Algorithm (declared in algorithm.hpp).
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/algos/central_arbiter.hpp"
-#include "gdp/algos/colored.hpp"
-#include "gdp/algos/gdp1.hpp"
-#include "gdp/algos/gdp2.hpp"
-#include "gdp/algos/lr1.hpp"
-#include "gdp/algos/lr2.hpp"
-#include "gdp/algos/ordered_forks.hpp"
 #include "gdp/algos/ticket.hpp"
+#include "gdp/algos/two_fork.hpp"
 #include "gdp/common/check.hpp"
 
 namespace gdp::algos {
 
 std::unique_ptr<Algorithm> make_algorithm(const std::string& name, AlgoConfig config) {
-  if (name == "lr1") return std::make_unique<Lr1>(config);
-  if (name == "lr2") return std::make_unique<Lr2>(config);
-  if (name == "gdp1") return std::make_unique<Gdp1>(config);
-  if (name == "gdp2") return std::make_unique<Gdp2>(config, /*cond_on_second_take=*/false);
-  if (name == "gdp2c") return std::make_unique<Gdp2>(config, /*cond_on_second_take=*/true);
-  if (name == "ordered") return std::make_unique<OrderedForks>(config);
-  if (name == "colored") return std::make_unique<Colored>(config);
+  if (auto two_fork = make_two_fork(name, config)) return two_fork;
   if (name == "arbiter") return std::make_unique<CentralArbiter>(config);
   if (name == "ticket") return std::make_unique<Ticket>(config);
   GDP_CHECK_MSG(false, "unknown algorithm '" << name << "'");

@@ -1,0 +1,236 @@
+#include "gdp/algos/two_fork.hpp"
+
+#include "gdp/common/check.hpp"
+
+namespace gdp::algos {
+
+using sim::Branch;
+using sim::EventKind;
+using sim::Phase;
+using sim::SimState;
+using sim::StepEvent;
+
+namespace {
+
+/// How Choose picks the first fork.
+enum class FirstFork : std::uint8_t {
+  kDraw,      // random_choice(left, right) with P(left) = p_left (LR1, LR2)
+  kHigherNr,  // the higher nr, ties right; adds the Renumber step (GDP1, GDP2)
+  kHigherId,  // the higher fork id (ordered)
+  kColor,     // even philosophers left, odd right (colored)
+};
+
+struct Variant {
+  const char* name;
+  FirstFork first;
+  /// Request bits, Cond on the first take, guest books signed after eating.
+  bool courteous;
+  /// Cond also guards the second take (gdp2c; see the header's note).
+  bool cond_on_second;
+  /// A taken second fork: keep the first and wait (true), or release it
+  /// and choose again (false).
+  bool hold_second;
+};
+
+constexpr Variant kVariants[] = {
+    // name      first fork            courteous  cond 2nd  hold 2nd
+    {"lr1",      FirstFork::kDraw,     false,     false,    false},
+    {"lr2",      FirstFork::kDraw,     true,      false,    false},
+    {"gdp1",     FirstFork::kHigherNr, false,     false,    false},
+    {"gdp2",     FirstFork::kHigherNr, true,      false,    false},
+    {"gdp2c",    FirstFork::kHigherNr, true,      true,     false},
+    {"ordered",  FirstFork::kHigherId, false,     false,    true},
+    {"colored",  FirstFork::kColor,    false,     false,    true},
+};
+
+void set_request(SimState& state, const graph::Topology& t, ForkId f, PhilId p, bool on) {
+  const int slot = t.slot_of(f, p);
+  if (on) {
+    state.fork(f).requests |= (std::uint64_t{1} << slot);
+  } else {
+    state.fork(f).requests &= ~(std::uint64_t{1} << slot);
+  }
+}
+
+class TwoFork final : public Algorithm {
+ public:
+  TwoFork(const Variant& v, AlgoConfig config) : Algorithm(config), v_(v) {}
+
+  std::string name() const override { return v_.name; }
+  bool uses_books() const override { return v_.courteous; }
+  bool uses_numbers() const override { return v_.first == FirstFork::kHigherNr; }
+  /// Only the baselines' first-fork rules read fork or philosopher ids.
+  bool symmetric() const override {
+    return v_.first == FirstFork::kDraw || v_.first == FirstFork::kHigherNr;
+  }
+
+  void validate(const graph::Topology& t) const override;
+
+  std::vector<Branch> step(const graph::Topology& t, const SimState& state,
+                           PhilId p) const override;
+
+ private:
+  const Variant& v_;
+};
+
+void TwoFork::validate(const graph::Topology& t) const {
+  Algorithm::validate(t);
+  if (v_.first != FirstFork::kColor) return;
+  const int n = t.num_phils();
+  GDP_CHECK_MSG(n >= 2 && n % 2 == 0, "colored needs an even ring; got " << n << " philosophers");
+  GDP_CHECK_MSG(t.num_forks() == n, "colored needs a classic ring (n forks), got k="
+                                        << t.num_forks() << " for n=" << n);
+  for (PhilId p = 0; p < n; ++p) {
+    GDP_CHECK_MSG(t.left_of(p) == p && t.right_of(p) == (p + 1) % n,
+                  "colored needs the canonical ring orientation (phil i: left=i, right=i+1); "
+                  "philosopher " << p << " deviates");
+  }
+}
+
+std::vector<Branch> TwoFork::step(const graph::Topology& t, const SimState& state,
+                                  PhilId p) const {
+  const sim::PhilState& me = state.phil(p);
+  std::vector<Branch> branches;
+
+  switch (me.phase) {
+    case Phase::kThinking:
+      return think_step(state, p, v_.courteous ? Phase::kRegister : Phase::kChoose);
+
+    case Phase::kRegister: {
+      if (!v_.courteous) break;
+      // LR2 / GDP2 step 2: announce interest on both forks.
+      SimState next = state;
+      set_request(next, t, t.left_of(p), p, true);
+      set_request(next, t, t.right_of(p), p, true);
+      next.phil(p).phase = Phase::kChoose;
+      branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kRegistered}));
+      return branches;
+    }
+
+    case Phase::kChoose: {
+      auto chose = [&](Side side, double prob) {
+        SimState next = state;
+        next.phil(p).phase = Phase::kCommit;
+        next.phil(p).committed = side;
+        branches.push_back(Branch{prob, StepEvent{EventKind::kChose, side, t.fork_of(p, side), 0},
+                                  std::move(next)});
+      };
+      switch (v_.first) {
+        case FirstFork::kDraw:
+          // fork := random_choice(left, right); a zero-probability side is dropped.
+          if (config_.p_left > 0.0) chose(Side::kLeft, config_.p_left);
+          if (1.0 - config_.p_left > 0.0) chose(Side::kRight, 1.0 - config_.p_left);
+          break;
+        case FirstFork::kHigherNr:
+          chose(state.fork(t.left_of(p)).nr > state.fork(t.right_of(p)).nr ? Side::kLeft
+                                                                           : Side::kRight,
+                1.0);
+          break;
+        case FirstFork::kHigherId:
+          chose(t.left_of(p) > t.right_of(p) ? Side::kLeft : Side::kRight, 1.0);
+          break;
+        case FirstFork::kColor:
+          // Yellow (even id) -> left first; blue (odd id) -> right first.
+          chose(p % 2 == 0 ? Side::kLeft : Side::kRight, 1.0);
+          break;
+      }
+      return branches;
+    }
+
+    case Phase::kCommit: {
+      // Test-and-set on the first fork, busy-wait on failure; a courteous
+      // philosopher also needs Cond(fork).
+      const ForkId f = t.fork_of(p, me.committed);
+      SimState next = state;
+      if ((!v_.courteous || sim::cond_holds(state, t, f, p)) && sim::try_take(next, f, p)) {
+        next.phil(p).phase =
+            v_.first == FirstFork::kHigherNr ? Phase::kRenumber : Phase::kTrySecond;
+        branches.push_back(
+            deterministic(std::move(next), StepEvent{EventKind::kTookFirst, me.committed, f, 0}));
+      } else {
+        branches.push_back(
+            deterministic(state, StepEvent{EventKind::kBlockedFirst, me.committed, f, 0}));
+      }
+      return branches;
+    }
+
+    case Phase::kRenumber: {
+      if (v_.first != FirstFork::kHigherNr) break;
+      // GDP: holding the first fork — re-randomize its nr on equality.
+      const ForkId f = t.fork_of(p, me.committed);
+      const ForkId g = t.other_fork(p, f);
+      if (state.fork(f).nr == state.fork(g).nr) {
+        const int m = effective_m(t);
+        branches.reserve(static_cast<std::size_t>(m));
+        for (int v = 1; v <= m; ++v) {
+          SimState next = state;
+          next.fork(f).nr = static_cast<std::uint16_t>(v);
+          next.phil(p).phase = Phase::kTrySecond;
+          branches.push_back(Branch{
+              1.0 / m, StepEvent{EventKind::kRenumbered, me.committed, f, v}, std::move(next)});
+        }
+      } else {
+        SimState next = state;
+        next.phil(p).phase = Phase::kTrySecond;
+        branches.push_back(
+            deterministic(std::move(next), StepEvent{EventKind::kNrDistinct, me.committed, f, 0}));
+      }
+      return branches;
+    }
+
+    case Phase::kTrySecond: {
+      // The second fork needs isFree (plus Cond for gdp2c). On failure
+      // either hold the first and wait, or release it and choose again.
+      const ForkId f = t.fork_of(p, me.committed);
+      const ForkId g = t.other_fork(p, f);
+      SimState next = state;
+      if ((!v_.cond_on_second || sim::cond_holds(state, t, g, p)) && sim::try_take(next, g, p)) {
+        next.phil(p).phase = Phase::kEating;
+        branches.push_back(
+            deterministic(std::move(next), StepEvent{EventKind::kTookSecond, me.committed, g, 0}));
+      } else if (v_.hold_second) {
+        branches.push_back(
+            deterministic(state, StepEvent{EventKind::kBlockedSecond, me.committed, g, 0}));
+      } else {
+        sim::release(next, f, p);
+        next.phil(p).phase = Phase::kChoose;
+        branches.push_back(
+            deterministic(std::move(next), StepEvent{EventKind::kFailedSecond, me.committed, g, 0}));
+      }
+      return branches;
+    }
+
+    case Phase::kEating: {
+      // Finish eating: a courteous philosopher deregisters and signs both
+      // guest books; then release both and think.
+      SimState next = state;
+      if (v_.courteous) {
+        set_request(next, t, t.left_of(p), p, false);
+        set_request(next, t, t.right_of(p), p, false);
+        sim::mark_used(next, t, t.left_of(p), p);
+        sim::mark_used(next, t, t.right_of(p), p);
+      }
+      sim::release(next, t.left_of(p), p);
+      sim::release(next, t.right_of(p), p);
+      next.phil(p).phase = Phase::kThinking;
+      branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kFinishedEating}));
+      return branches;
+    }
+
+    case Phase::kWaitGrant:
+      break;
+  }
+  GDP_CHECK_MSG(false, name() << ": philosopher " << p << " in foreign phase");
+  __builtin_unreachable();
+}
+
+}  // namespace
+
+std::unique_ptr<Algorithm> make_two_fork(const std::string& name, AlgoConfig config) {
+  for (const Variant& v : kVariants) {
+    if (name == v.name) return std::make_unique<TwoFork>(v, config);
+  }
+  return nullptr;
+}
+
+}  // namespace gdp::algos

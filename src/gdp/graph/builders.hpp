@@ -13,7 +13,7 @@
 // Figure 1's third and fourth drawings give only the philosopher/fork counts
 // (16ph/12f and 10ph/9f); fig1c/fig1d are faithful reconstructions with the
 // same counts and the same qualitative features (ring subgraphs with
-// high-degree nodes). DESIGN.md records this substitution.
+// high-degree nodes).
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,7 @@
 #include <memory>
 #include <thread>
 
+#include "gdp/algos/algorithm.hpp"
 #include "gdp/common/check.hpp"
 #include "gdp/graph/algorithms.hpp"
 #include "gdp/obs/obs.hpp"
@@ -304,8 +305,12 @@ RuntimeResult run_threads(const graph::Topology& t, const RuntimeConfig& config)
                     is_classic_ring(t),
                 "run_threads: ticket may deadlock off the classic ring, so a meal target "
                 "alone may never be reached; set a duration");
-  shared.m = config.m != 0 ? config.m : t.num_forks();
-  GDP_CHECK_MSG(shared.m >= t.num_forks(), "GDP requires m >= k");
+  // The same preconditions as the simulated algorithm of that name: p_left
+  // in [0, 1], m in [k, 65535], fork degree <= 64 for the book-keepers.
+  const auto algo = algos::make_algorithm(config.algorithm,
+                                          {.p_left = config.p_left, .m = config.m});
+  algo->validate(t);
+  shared.m = algo->effective_m(t);
   shared.p_left = config.p_left;
   shared.think_work = config.think_work;
   shared.eat_work = config.eat_work;
@@ -318,9 +323,6 @@ RuntimeResult run_threads(const graph::Topology& t, const RuntimeConfig& config)
     shared.books.push_back(uses_books(shared.kind)
                                ? std::make_unique<ForkBooks>(t.degree(f))
                                : nullptr);
-    if (uses_books(shared.kind)) {
-      GDP_CHECK_MSG(t.degree(f) <= 64, "book-keeping runtime needs fork degree <= 64");
-    }
   }
 
   std::vector<WorkerOutput> outputs(static_cast<std::size_t>(t.num_phils()));

@@ -7,7 +7,6 @@
 #include <cmath>
 
 #include "gdp/algos/algorithm.hpp"
-#include "gdp/algos/gdp1.hpp"
 #include "gdp/graph/builders.hpp"
 #include "gdp/sim/engine.hpp"
 #include "gdp/sim/schedulers/basic.hpp"
@@ -86,9 +85,9 @@ TEST(NrDynamics, OnlyHoldersRenumber) {
 TEST(NrDynamics, AdjacentDistinctImpliesOrderedBehaviour) {
   // Force a fully distinct numbering; GDP1 then never renumbers, acting as
   // a hierarchical allocator (the paper's T ∩ C_h --F->_1 E argument).
-  Gdp1 gdp1(AlgoConfig{.m = 10});
+  const auto gdp1 = make_algorithm("gdp1", AlgoConfig{.m = 10});
   const auto t = graph::classic_ring(4);
-  auto s = gdp1.initial_state(t);
+  auto s = gdp1->initial_state(t);
   for (ForkId f = 0; f < 4; ++f) s.fork(f).nr = static_cast<std::uint16_t>(f + 1);
 
   // Run manually from this state and count renumber events.
@@ -98,7 +97,7 @@ TEST(NrDynamics, AdjacentDistinctImpliesOrderedBehaviour) {
   int meals = 0;
   for (int step = 0; step < 20'000; ++step) {
     const PhilId p = rng.uniform_int(0, 3);
-    const auto branches = gdp1.step(t, s, p);
+    const auto branches = gdp1->step(t, s, p);
     const auto& chosen = sim::sample_branch(branches, rng);
     renumbers += chosen.event.kind == sim::EventKind::kRenumbered;
     meals += chosen.event.kind == sim::EventKind::kTookSecond;

@@ -129,6 +129,14 @@ TEST(Runtime, RejectsBadConfigs) {
   bad_m.target_meals = 10;
   bad_m.m = 2;  // < k
   EXPECT_THROW(run_threads(graph::classic_ring(4), bad_m), PreconditionError);
+  bad_m.m = 70'000;  // beyond the 16-bit nr field: nr would wrap to 0, "unnumbered"
+  EXPECT_THROW(run_threads(graph::classic_ring(4), bad_m), PreconditionError);
+
+  RuntimeConfig bad_bias;
+  bad_bias.algorithm = "lr1";
+  bad_bias.target_meals = 10;
+  bad_bias.p_left = 1.5;
+  EXPECT_THROW(run_threads(graph::classic_ring(4), bad_bias), PreconditionError);
 
   // A ticket run off the classic ring may close a circular wait, so a meal
   // target alone is refused there; on the ring n-1 tickets rule it out.
