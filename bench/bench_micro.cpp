@@ -40,17 +40,35 @@ void BM_RngUniformInt(benchmark::State& state) {
 }
 BENCHMARK(BM_RngUniformInt);
 
+// Args: algorithm (0 = lr1, 1 = gdp1), form (0 = the collecting step()
+// that returns a vector of branches, 1 = the sink form over one reused
+// scratch, as the explorer calls it). Items are branches.
 void BM_AlgorithmStep(benchmark::State& state) {
   const auto algo = algos::make_algorithm(state.range(0) == 0 ? "lr1" : "gdp1");
+  const bool sink_form = state.range(1) == 1;
   const auto t = graph::fig1a();
   const auto s = algo->initial_state(t);
+  sim::SimState scratch;
+  std::uint64_t branches = 0;
+  algos::SinkFn count([&branches](double prob, const sim::StepEvent&, const sim::SimState& next) {
+    benchmark::DoNotOptimize(prob);
+    benchmark::DoNotOptimize(next.phils.data());
+    ++branches;
+  });
   PhilId p = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(algo->step(t, s, p));
+    if (sink_form) {
+      algo->step(t, s, p, scratch, count);
+    } else {
+      const auto collected = algo->step(t, s, p);
+      benchmark::DoNotOptimize(collected.data());
+      branches += collected.size();
+    }
     p = (p + 1) % t.num_phils();
   }
+  state.SetItemsProcessed(static_cast<std::int64_t>(branches));
 }
-BENCHMARK(BM_AlgorithmStep)->Arg(0)->Arg(1);
+BENCHMARK(BM_AlgorithmStep)->ArgsProduct({{0, 1}, {0, 1}});
 
 void BM_EngineSteps(benchmark::State& state) {
   const auto algo = algos::make_algorithm("gdp1");

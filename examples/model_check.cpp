@@ -7,6 +7,7 @@
 //
 // Topologies: ring3 ring4 parallel3 parallel4 fig1a pendant3 chord4 theta112
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "gdp/algos/algorithm.hpp"
@@ -24,15 +25,19 @@ using namespace gdp;
 
 namespace {
 
-graph::Topology by_name(const std::string& name) {
+constexpr const char* kTopologies = "ring3 ring4 parallel3 parallel4 fig1a pendant3 chord4 theta112";
+
+/// The topology named `name`, or nullopt for a name not in kTopologies.
+std::optional<graph::Topology> by_name(const std::string& name) {
   if (name == "ring3") return graph::classic_ring(3);
   if (name == "ring4") return graph::classic_ring(4);
   if (name == "parallel3") return graph::parallel_arcs(3);
   if (name == "parallel4") return graph::parallel_arcs(4);
+  if (name == "fig1a") return graph::fig1a();
   if (name == "pendant3") return graph::ring_with_pendant(3);
   if (name == "chord4") return graph::ring_with_chord(4);
   if (name == "theta112") return graph::theta(1, 1, 2);
-  return graph::fig1a();
+  return std::nullopt;
 }
 
 }  // namespace
@@ -56,7 +61,12 @@ int main(int argc, char** argv) {
   }
   opts.max_states = max_states;
 
-  const auto t = by_name(topo_name);
+  const std::optional<graph::Topology> topology = by_name(topo_name);
+  if (!topology) {
+    std::fprintf(stderr, "unknown topology '%s'; known: %s\n", topo_name.c_str(), kTopologies);
+    return 1;
+  }
+  const graph::Topology& t = *topology;
   const auto algo = algos::make_algorithm(algo_name);
 
   std::printf("Model checking %s on %s (state cap %zu, threads %d [0=hw])...\n\n",

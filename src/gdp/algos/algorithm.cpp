@@ -10,7 +10,7 @@ using sim::Phase;
 using sim::SimState;
 using sim::StepEvent;
 
-void Algorithm::validate(const graph::Topology& t) const {
+void Algorithm::validate_config() const {
   // Written so that NaN fails every comparison and is rejected.
   GDP_CHECK_MSG(config_.p_left >= 0.0 && config_.p_left <= 1.0,
                 "p_left must lie in [0, 1], got " << config_.p_left);
@@ -18,6 +18,14 @@ void Algorithm::validate(const graph::Topology& t) const {
     GDP_CHECK_MSG(config_.think_coin > 0.0 && config_.think_coin <= 1.0,
                   "think_coin must lie in (0, 1], got " << config_.think_coin);
   }
+  GDP_CHECK_MSG(config_.m >= 0, "m must be >= 0 (0 = automatic), got " << config_.m);
+  if (uses_numbers()) {
+    GDP_CHECK_MSG(config_.m <= 0xffff, "m=" << config_.m << " exceeds the nr field's range");
+  }
+}
+
+void Algorithm::validate(const graph::Topology& t) const {
+  validate_config();
   if (uses_books()) {
     GDP_CHECK_MSG(t.max_degree() <= 64,
                   name() << " keeps per-sharer request bits; fork degree must be <= 64, got "
@@ -50,25 +58,38 @@ sim::SimState Algorithm::initial_state(const graph::Topology& t) const {
   return state;
 }
 
-std::vector<Branch> Algorithm::think_step(const SimState& state, PhilId p,
-                                          Phase first_phase) const {
+std::vector<Branch> Algorithm::step(const graph::Topology& t, const SimState& state,
+                                    PhilId p) const {
+  std::vector<Branch> branches;
+  SimState scratch;
+  SinkFn collect([&](double prob, const StepEvent& event, const SimState& next) {
+    // step() rebuilds the scratch before each branch it builds there, so a
+    // successor in the scratch moves into the branch instead of being copied.
+    if (&next == &scratch) {
+      branches.push_back(Branch{prob, event, std::move(scratch)});
+    } else {
+      branches.push_back(Branch{prob, event, next});
+    }
+  });
+  step(t, state, p, scratch, collect);
+  return branches;
+}
+
+void Algorithm::think_step(const SimState& state, PhilId p, Phase first_phase,
+                           SimState& scratch, BranchSink& sink) const {
   GDP_DCHECK(state.phil(p).phase == Phase::kThinking);
-  SimState awake = state;
-  awake.phil(p).phase = first_phase;
-  StepEvent woke{EventKind::kStartTrying, Side::kLeft, kNoFork, 0};
+  scratch = state;
+  scratch.phil(p).phase = first_phase;
+  const StepEvent woke{EventKind::kStartTrying, Side::kLeft, kNoFork, 0};
 
   if (config_.think == ThinkMode::kHungry || config_.think_coin >= 1.0) {
-    std::vector<Branch> branches;
-    branches.push_back(deterministic(std::move(awake), woke));
-    return branches;
+    sink(1.0, woke, scratch);
+    return;
   }
   GDP_DCHECK(config_.think_coin > 0.0);
   // Coin mode: geometric thinking time.
-  std::vector<Branch> branches;
-  branches.push_back(Branch{config_.think_coin, woke, std::move(awake)});
-  branches.push_back(
-      Branch{1.0 - config_.think_coin, StepEvent{EventKind::kStillThinking}, state});
-  return branches;
+  sink(config_.think_coin, woke, scratch);
+  sink(1.0 - config_.think_coin, StepEvent{EventKind::kStillThinking}, state);
 }
 
 }  // namespace gdp::algos

@@ -2,7 +2,7 @@
 //
 // Every algorithm of the paper (Tables 1-4) and every §1 baseline implements
 // step(): given the topology, the current configuration and a scheduled
-// philosopher, return the probability distribution over successors that one
+// philosopher, emit the probability distribution over successors that one
 // atomic action of that philosopher induces. Enumerated branches make the
 // same code serve the sampling simulator, the exact replayer and the MDP
 // model checker.
@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gdp/common/ids.hpp"
@@ -44,6 +45,30 @@ struct AlgoConfig {
   int m = 0;
 };
 
+/// Receives the branches of one step, one call per branch, in order.
+class BranchSink {
+ public:
+  virtual void operator()(double prob, const sim::StepEvent& event,
+                          const sim::SimState& next) = 0;
+
+ protected:
+  ~BranchSink() = default;
+};
+
+/// A BranchSink over any callable f(prob, event, next).
+template <class F>
+class SinkFn final : public BranchSink {
+ public:
+  explicit SinkFn(F f) : f_(std::move(f)) {}
+  void operator()(double prob, const sim::StepEvent& event,
+                  const sim::SimState& next) override {
+    f_(prob, event, next);
+  }
+
+ private:
+  F f_;
+};
+
 class Algorithm {
  public:
   explicit Algorithm(AlgoConfig config) : config_(config) {}
@@ -62,20 +87,39 @@ class Algorithm {
   /// Fully distributed = no processes/memory beyond philosophers & forks.
   virtual bool fully_distributed() const { return true; }
 
+  /// Throws PreconditionError if the config is out of range on every
+  /// topology: p_left must lie in [0, 1], in kCoin mode think_coin in
+  /// (0, 1], m must not be negative, and a GDP numbering range must fit
+  /// 16 bits.
+  void validate_config() const;
+
   /// Throws PreconditionError if this algorithm cannot run on `t` with its
-  /// config (e.g. colored needs an even ring; books need degree <= 64;
-  /// p_left must lie in [0, 1], in kCoin mode think_coin in (0, 1], and a
-  /// GDP numbering range in [k, 65535]).
+  /// config: validate_config(), plus the topology's own constraints (e.g.
+  /// colored needs an even ring; books need degree <= 64; m >= k).
   virtual void validate(const graph::Topology& t) const;
 
   /// The symmetric initial configuration: everyone thinking, all forks free
   /// with nr = 0, empty books; baselines may add aux state via init_aux().
   sim::SimState initial_state(const graph::Topology& t) const;
 
-  /// All probabilistic branches of one atomic step of philosopher `p`.
-  /// Branch probabilities are positive and sum to 1. Never empty.
-  virtual std::vector<sim::Branch> step(const graph::Topology& t, const sim::SimState& state,
-                                        PhilId p) const = 0;
+  /// All probabilistic branches of one atomic step of philosopher `p`,
+  /// emitted into `sink` as (prob, event, next), one call per branch.
+  /// Branch probabilities are positive and sum to 1; there is at least one.
+  ///
+  /// `scratch` is caller-owned working storage, distinct from `state`. Its
+  /// contents are unspecified on entry, after each sink call (the caller
+  /// may even move from it) and on return: step() rebuilds it from `state`
+  /// for every branch it builds there, whatever shape it had. A caller
+  /// reusing one scratch across calls pays no allocation once it has the
+  /// state's shape. `next` is either `state` itself (a busy-wait self-loop)
+  /// or `scratch`, and is valid only during the sink call: a sink that needs
+  /// the successor later copies it.
+  virtual void step(const graph::Topology& t, const sim::SimState& state, PhilId p,
+                    sim::SimState& scratch, BranchSink& sink) const = 0;
+
+  /// The branches of step(t, state, p, scratch, sink), collected.
+  std::vector<sim::Branch> step(const graph::Topology& t, const sim::SimState& state,
+                                PhilId p) const;
 
   const AlgoConfig& config() const { return config_; }
 
@@ -91,9 +135,10 @@ class Algorithm {
   virtual void init_aux(sim::SimState&, const graph::Topology&) const {}
 
   /// Handles Phase::kThinking according to the think mode; on waking, the
-  /// philosopher moves to `first_phase` (kChoose, kRegister, ...).
-  std::vector<sim::Branch> think_step(const sim::SimState& state, PhilId p,
-                                      sim::Phase first_phase) const;
+  /// philosopher moves to `first_phase` (kChoose, kRegister, ...). Same
+  /// scratch and sink contract as step().
+  void think_step(const sim::SimState& state, PhilId p, sim::Phase first_phase,
+                  sim::SimState& scratch, BranchSink& sink) const;
 
   AlgoConfig config_;
 };

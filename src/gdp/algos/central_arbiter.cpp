@@ -6,7 +6,6 @@
 
 namespace gdp::algos {
 
-using sim::Branch;
 using sim::EventKind;
 using sim::Phase;
 using sim::SimState;
@@ -53,27 +52,28 @@ bool may_grant(const SimState& state, const graph::Topology& t, PhilId p) {
 
 }  // namespace
 
-std::vector<Branch> CentralArbiter::step(const graph::Topology& t, const SimState& state,
-                                         PhilId p) const {
+void CentralArbiter::step(const graph::Topology& t, const SimState& state, PhilId p,
+                          SimState& next, BranchSink& sink) const {
+  GDP_DCHECK(&next != &state);
   const sim::PhilState& me = state.phil(p);
-  std::vector<Branch> branches;
 
   switch (me.phase) {
     case Phase::kThinking:
-      return think_step(state, p, Phase::kRegister);
+      think_step(state, p, Phase::kRegister, next, sink);
+      return;
 
     case Phase::kRegister: {
       // Ask the monitor for both forks.
-      SimState next = state;
+      next = state;
       enqueue(next, p);
       next.phil(p).phase = Phase::kWaitGrant;
-      branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kRegistered}));
-      return branches;
+      sink(1.0, StepEvent{EventKind::kRegistered}, next);
+      return;
     }
 
     case Phase::kWaitGrant: {
       if (may_grant(state, t, p)) {
-        SimState next = state;
+        next = state;
         const bool left_ok = sim::try_take(next, t.left_of(p), p);
         const bool right_ok = sim::try_take(next, t.right_of(p), p);
         GDP_DCHECK(left_ok && right_ok);
@@ -81,20 +81,20 @@ std::vector<Branch> CentralArbiter::step(const graph::Topology& t, const SimStat
         (void)right_ok;
         dequeue(next, p);
         next.phil(p).phase = Phase::kEating;
-        branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kGranted}));
+        sink(1.0, StepEvent{EventKind::kGranted}, next);
       } else {
-        branches.push_back(deterministic(state, StepEvent{EventKind::kWaiting}));
+        sink(1.0, StepEvent{EventKind::kWaiting}, state);
       }
-      return branches;
+      return;
     }
 
     case Phase::kEating: {
-      SimState next = state;
+      next = state;
       sim::release(next, t.left_of(p), p);
       sim::release(next, t.right_of(p), p);
       next.phil(p).phase = Phase::kThinking;
-      branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kFinishedEating}));
-      return branches;
+      sink(1.0, StepEvent{EventKind::kFinishedEating}, next);
+      return;
     }
 
     case Phase::kChoose:

@@ -24,8 +24,9 @@ class CentralArbiter final : public Algorithm {
   std::string name() const override { return "arbiter"; }
   bool fully_distributed() const override { return false; }
 
-  std::vector<sim::Branch> step(const graph::Topology& t, const sim::SimState& state,
-                                PhilId p) const override;
+  using Algorithm::step;
+  void step(const graph::Topology& t, const sim::SimState& state, PhilId p,
+            sim::SimState& next, BranchSink& sink) const override;
 
  protected:
   void init_aux(sim::SimState& state, const graph::Topology& t) const override;

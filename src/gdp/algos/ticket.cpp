@@ -4,7 +4,6 @@
 
 namespace gdp::algos {
 
-using sim::Branch;
 using sim::EventKind;
 using sim::Phase;
 using sim::SimState;
@@ -14,66 +13,65 @@ void Ticket::init_aux(SimState& state, const graph::Topology& t) const {
   state.aux.assign(1, t.num_phils() - 1);
 }
 
-std::vector<Branch> Ticket::step(const graph::Topology& t, const SimState& state,
-                                 PhilId p) const {
+void Ticket::step(const graph::Topology& t, const SimState& state, PhilId p, SimState& next,
+                  BranchSink& sink) const {
+  GDP_DCHECK(&next != &state);
   const sim::PhilState& me = state.phil(p);
-  std::vector<Branch> branches;
 
   switch (me.phase) {
     case Phase::kThinking:
-      return think_step(state, p, Phase::kWaitGrant);
+      think_step(state, p, Phase::kWaitGrant, next, sink);
+      return;
 
     case Phase::kWaitGrant: {
       // Draw a ticket from the box (atomic decrement) or keep waiting.
       if (state.aux[0] > 0) {
-        SimState next = state;
+        next = state;
         --next.aux[0];
         next.phil(p).phase = Phase::kCommit;
         next.phil(p).committed = Side::kLeft;  // ticketed grab order: left, right
-        branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kGranted}));
+        sink(1.0, StepEvent{EventKind::kGranted}, next);
       } else {
-        branches.push_back(deterministic(state, StepEvent{EventKind::kWaiting}));
+        sink(1.0, StepEvent{EventKind::kWaiting}, state);
       }
-      return branches;
+      return;
     }
 
     case Phase::kCommit: {
       const ForkId f = t.left_of(p);
-      SimState next = state;
-      if (sim::try_take(next, f, p)) {
+      if (state.fork(f).free()) {
+        next = state;
+        sim::try_take(next, f, p);
         next.phil(p).phase = Phase::kTrySecond;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kTookFirst, Side::kLeft, f, 0}));
+        sink(1.0, StepEvent{EventKind::kTookFirst, Side::kLeft, f, 0}, next);
       } else {
-        branches.push_back(
-            deterministic(state, StepEvent{EventKind::kBlockedFirst, Side::kLeft, f, 0}));
+        sink(1.0, StepEvent{EventKind::kBlockedFirst, Side::kLeft, f, 0}, state);
       }
-      return branches;
+      return;
     }
 
     case Phase::kTrySecond: {
       // Hold-and-wait for the right fork.
       const ForkId g = t.right_of(p);
-      SimState next = state;
-      if (sim::try_take(next, g, p)) {
+      if (state.fork(g).free()) {
+        next = state;
+        sim::try_take(next, g, p);
         next.phil(p).phase = Phase::kEating;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kTookSecond, Side::kRight, g, 0}));
+        sink(1.0, StepEvent{EventKind::kTookSecond, Side::kRight, g, 0}, next);
       } else {
-        branches.push_back(
-            deterministic(state, StepEvent{EventKind::kBlockedSecond, Side::kRight, g, 0}));
+        sink(1.0, StepEvent{EventKind::kBlockedSecond, Side::kRight, g, 0}, state);
       }
-      return branches;
+      return;
     }
 
     case Phase::kEating: {
-      SimState next = state;
+      next = state;
       sim::release(next, t.left_of(p), p);
       sim::release(next, t.right_of(p), p);
       ++next.aux[0];  // return the ticket
       next.phil(p).phase = Phase::kThinking;
-      branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kFinishedEating}));
-      return branches;
+      sink(1.0, StepEvent{EventKind::kFinishedEating}, next);
+      return;
     }
 
     case Phase::kRegister:

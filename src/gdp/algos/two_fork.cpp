@@ -4,7 +4,6 @@
 
 namespace gdp::algos {
 
-using sim::Branch;
 using sim::EventKind;
 using sim::Phase;
 using sim::SimState;
@@ -66,8 +65,9 @@ class TwoFork final : public Algorithm {
 
   void validate(const graph::Topology& t) const override;
 
-  std::vector<Branch> step(const graph::Topology& t, const SimState& state,
-                           PhilId p) const override;
+  using Algorithm::step;
+  void step(const graph::Topology& t, const SimState& state, PhilId p, SimState& next,
+            BranchSink& sink) const override;
 
  private:
   const Variant& v_;
@@ -87,33 +87,33 @@ void TwoFork::validate(const graph::Topology& t) const {
   }
 }
 
-std::vector<Branch> TwoFork::step(const graph::Topology& t, const SimState& state,
-                                  PhilId p) const {
+void TwoFork::step(const graph::Topology& t, const SimState& state, PhilId p, SimState& next,
+                   BranchSink& sink) const {
+  GDP_DCHECK(&next != &state);
   const sim::PhilState& me = state.phil(p);
-  std::vector<Branch> branches;
 
   switch (me.phase) {
     case Phase::kThinking:
-      return think_step(state, p, v_.courteous ? Phase::kRegister : Phase::kChoose);
+      think_step(state, p, v_.courteous ? Phase::kRegister : Phase::kChoose, next, sink);
+      return;
 
     case Phase::kRegister: {
       if (!v_.courteous) break;
       // LR2 / GDP2 step 2: announce interest on both forks.
-      SimState next = state;
+      next = state;
       set_request(next, t, t.left_of(p), p, true);
       set_request(next, t, t.right_of(p), p, true);
       next.phil(p).phase = Phase::kChoose;
-      branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kRegistered}));
-      return branches;
+      sink(1.0, StepEvent{EventKind::kRegistered}, next);
+      return;
     }
 
     case Phase::kChoose: {
       auto chose = [&](Side side, double prob) {
-        SimState next = state;
+        next = state;
         next.phil(p).phase = Phase::kCommit;
         next.phil(p).committed = side;
-        branches.push_back(Branch{prob, StepEvent{EventKind::kChose, side, t.fork_of(p, side), 0},
-                                  std::move(next)});
+        sink(prob, StepEvent{EventKind::kChose, side, t.fork_of(p, side), 0}, next);
       };
       switch (v_.first) {
         case FirstFork::kDraw:
@@ -134,24 +134,23 @@ std::vector<Branch> TwoFork::step(const graph::Topology& t, const SimState& stat
           chose(p % 2 == 0 ? Side::kLeft : Side::kRight, 1.0);
           break;
       }
-      return branches;
+      return;
     }
 
     case Phase::kCommit: {
       // Test-and-set on the first fork, busy-wait on failure; a courteous
       // philosopher also needs Cond(fork).
       const ForkId f = t.fork_of(p, me.committed);
-      SimState next = state;
-      if ((!v_.courteous || sim::cond_holds(state, t, f, p)) && sim::try_take(next, f, p)) {
+      if ((!v_.courteous || sim::cond_holds(state, t, f, p)) && state.fork(f).free()) {
+        next = state;
+        sim::try_take(next, f, p);
         next.phil(p).phase =
             v_.first == FirstFork::kHigherNr ? Phase::kRenumber : Phase::kTrySecond;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kTookFirst, me.committed, f, 0}));
+        sink(1.0, StepEvent{EventKind::kTookFirst, me.committed, f, 0}, next);
       } else {
-        branches.push_back(
-            deterministic(state, StepEvent{EventKind::kBlockedFirst, me.committed, f, 0}));
+        sink(1.0, StepEvent{EventKind::kBlockedFirst, me.committed, f, 0}, state);
       }
-      return branches;
+      return;
     }
 
     case Phase::kRenumber: {
@@ -161,21 +160,18 @@ std::vector<Branch> TwoFork::step(const graph::Topology& t, const SimState& stat
       const ForkId g = t.other_fork(p, f);
       if (state.fork(f).nr == state.fork(g).nr) {
         const int m = effective_m(t);
-        branches.reserve(static_cast<std::size_t>(m));
         for (int v = 1; v <= m; ++v) {
-          SimState next = state;
+          next = state;
           next.fork(f).nr = static_cast<std::uint16_t>(v);
           next.phil(p).phase = Phase::kTrySecond;
-          branches.push_back(Branch{
-              1.0 / m, StepEvent{EventKind::kRenumbered, me.committed, f, v}, std::move(next)});
+          sink(1.0 / m, StepEvent{EventKind::kRenumbered, me.committed, f, v}, next);
         }
       } else {
-        SimState next = state;
+        next = state;
         next.phil(p).phase = Phase::kTrySecond;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kNrDistinct, me.committed, f, 0}));
+        sink(1.0, StepEvent{EventKind::kNrDistinct, me.committed, f, 0}, next);
       }
-      return branches;
+      return;
     }
 
     case Phase::kTrySecond: {
@@ -183,27 +179,26 @@ std::vector<Branch> TwoFork::step(const graph::Topology& t, const SimState& stat
       // either hold the first and wait, or release it and choose again.
       const ForkId f = t.fork_of(p, me.committed);
       const ForkId g = t.other_fork(p, f);
-      SimState next = state;
-      if ((!v_.cond_on_second || sim::cond_holds(state, t, g, p)) && sim::try_take(next, g, p)) {
+      if ((!v_.cond_on_second || sim::cond_holds(state, t, g, p)) && state.fork(g).free()) {
+        next = state;
+        sim::try_take(next, g, p);
         next.phil(p).phase = Phase::kEating;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kTookSecond, me.committed, g, 0}));
+        sink(1.0, StepEvent{EventKind::kTookSecond, me.committed, g, 0}, next);
       } else if (v_.hold_second) {
-        branches.push_back(
-            deterministic(state, StepEvent{EventKind::kBlockedSecond, me.committed, g, 0}));
+        sink(1.0, StepEvent{EventKind::kBlockedSecond, me.committed, g, 0}, state);
       } else {
+        next = state;
         sim::release(next, f, p);
         next.phil(p).phase = Phase::kChoose;
-        branches.push_back(
-            deterministic(std::move(next), StepEvent{EventKind::kFailedSecond, me.committed, g, 0}));
+        sink(1.0, StepEvent{EventKind::kFailedSecond, me.committed, g, 0}, next);
       }
-      return branches;
+      return;
     }
 
     case Phase::kEating: {
       // Finish eating: a courteous philosopher deregisters and signs both
       // guest books; then release both and think.
-      SimState next = state;
+      next = state;
       if (v_.courteous) {
         set_request(next, t, t.left_of(p), p, false);
         set_request(next, t, t.right_of(p), p, false);
@@ -213,8 +208,8 @@ std::vector<Branch> TwoFork::step(const graph::Topology& t, const SimState& stat
       sim::release(next, t.left_of(p), p);
       sim::release(next, t.right_of(p), p);
       next.phil(p).phase = Phase::kThinking;
-      branches.push_back(deterministic(std::move(next), StepEvent{EventKind::kFinishedEating}));
-      return branches;
+      sink(1.0, StepEvent{EventKind::kFinishedEating}, next);
+      return;
     }
 
     case Phase::kWaitGrant:

@@ -97,12 +97,14 @@ void validate(const CampaignSpec& spec) {
   for (const SchedulerSpec& s : spec.schedulers) {
     GDP_CHECK_MSG(s.make != nullptr, "scheduler spec '" << s.name << "' has no factory");
   }
-  // Resolve every (algorithm, config) pair once so a typo fails the campaign
-  // up front instead of inside a worker thread.
+  // Resolve and range-check every (algorithm, config) pair once, so a typo
+  // or an out-of-range config fails the campaign up front instead of inside
+  // a worker thread. skip_invalid only skips topologies an algorithm cannot
+  // run on; a config that is invalid everywhere is an error.
   for (const std::string& name : spec.algorithms) {
     for (std::size_t c = 0; c < num_configs(spec); ++c) {
-      (void)algos::make_algorithm(
-          name, spec.configs.empty() ? algos::AlgoConfig{} : spec.configs[c]);
+      algos::make_algorithm(name, spec.configs.empty() ? algos::AlgoConfig{} : spec.configs[c])
+          ->validate_config();
     }
   }
 }

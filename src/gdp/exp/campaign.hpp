@@ -68,7 +68,9 @@ struct CampaignSpec {
   PhilId tracked = 0;
 
   /// Skip (algorithm, topology) pairs the algorithm's validate() rejects
-  /// (e.g. colored off an even ring) instead of failing the campaign.
+  /// (e.g. colored off an even ring) instead of failing the campaign. A
+  /// config out of range on every topology (validate_config()) still fails
+  /// the campaign.
   bool skip_invalid = false;
 };
 
@@ -99,7 +101,8 @@ algos::AlgoConfig cell_config(const CampaignSpec& spec, const Cell& cell);
 std::string cell_label(const CampaignSpec& spec, const Cell& cell);
 
 /// Validates the spec (non-empty dimensions, trials >= 1, registry names
-/// resolvable). Throws PreconditionError with context on violation.
+/// resolvable, every config in range on any topology). Throws
+/// PreconditionError with context on violation.
 void validate(const CampaignSpec& spec);
 
 }  // namespace gdp::exp

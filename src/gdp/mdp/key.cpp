@@ -97,7 +97,7 @@ std::size_t KeyCodec::legacy_key_bytes() const {
   return bytes;
 }
 
-void KeyCodec::encode(const sim::SimState& state, PackedKey& out) const {
+void KeyCodec::encode(const sim::SimState& state, std::uint64_t* w) const {
   GDP_DCHECK(valid());
   GDP_DCHECK(static_cast<int>(state.forks.size()) == num_forks_);
   GDP_DCHECK(static_cast<int>(state.phils.size()) == num_phils_);
@@ -105,8 +105,7 @@ void KeyCodec::encode(const sim::SimState& state, PackedKey& out) const {
                 "aux resized after init_aux: " << state.aux.size() << " words, layout has "
                                                << aux_words_);
 
-  out.resize(words_);
-  std::uint64_t* w = out.data();
+  std::fill_n(w, words_, 0);
   std::size_t bit = 0;
 
   for (ForkId f = 0; f < num_forks_; ++f) {
@@ -165,9 +164,14 @@ sim::SimState KeyCodec::decode(const PackedKey& key) const {
 }
 
 sim::SimState KeyCodec::decode(const std::uint64_t* w) const {
+  sim::SimState state;
+  decode(w, state);
+  return state;
+}
+
+void KeyCodec::decode(const std::uint64_t* w, sim::SimState& state) const {
   GDP_CHECK_MSG(valid(), "decode on an unset KeyCodec");
 
-  sim::SimState state;
   state.forks.resize(static_cast<std::size_t>(num_forks_));
   state.phils.resize(static_cast<std::size_t>(num_phils_));
   state.aux.resize(static_cast<std::size_t>(aux_words_));
@@ -177,7 +181,7 @@ sim::SimState KeyCodec::decode(const std::uint64_t* w) const {
   for (ForkId f = 0; f < num_forks_; ++f) {
     sim::ForkState& fork = state.fork(f);
     fork.holder = static_cast<PhilId>(get_bits(w, bit, holder_bits_)) - 1;
-    if (numbers_) fork.nr = static_cast<std::uint16_t>(get_bits(w, bit, nr_bits_));
+    fork.nr = numbers_ ? static_cast<std::uint16_t>(get_bits(w, bit, nr_bits_)) : 0;
     if (books_) {
       const unsigned deg = degree_[static_cast<std::size_t>(f)];
       fork.requests = get_bits(w, bit, deg);
@@ -186,18 +190,21 @@ sim::SimState KeyCodec::decode(const std::uint64_t* w) const {
       for (std::uint8_t& rank : fork.use_rank) {
         rank = static_cast<std::uint8_t>(get_bits(w, bit, rank_width));
       }
+    } else {
+      fork.requests = 0;
+      fork.use_rank.clear();
     }
   }
 
   for (sim::PhilState& phil : state.phils) {
     phil.phase = static_cast<sim::Phase>(get_bits(w, bit, phase_bits()));
     phil.committed = static_cast<Side>(get_bits(w, bit, 1));
+    phil.scratch = 0;
   }
 
   for (std::int32_t& word : state.aux) {
     word = static_cast<std::int32_t>(get_bits(w, bit, aux_bits_)) - 1;
   }
-  return state;
 }
 
 // ---------------------------------------------------------------------------

@@ -188,7 +188,12 @@ class KeyCodec {
   /// the before/after of the packing, for memory reporting.
   std::size_t legacy_key_bytes() const;
 
-  void encode(const sim::SimState& state, PackedKey& out) const;
+  /// Writes the key_words() words of `state`'s key to `out`.
+  void encode(const sim::SimState& state, std::uint64_t* out) const;
+  void encode(const sim::SimState& state, PackedKey& out) const {
+    out.resize(words_);
+    encode(state, out.data());
+  }
   PackedKey encode(const sim::SimState& state) const {
     PackedKey key;
     encode(state, key);
@@ -199,6 +204,10 @@ class KeyCodec {
   sim::SimState decode(const PackedKey& key) const;
   /// decode() of a key stored as a key_words()-word run.
   sim::SimState decode(const std::uint64_t* words) const;
+  /// decode() into `out`: overwrites every field, whatever `out` held or
+  /// its shape, reusing its storage (no allocation once `out` has the
+  /// layout's shape).
+  void decode(const std::uint64_t* words, sim::SimState& out) const;
 
  private:
   int num_forks_ = 0;

@@ -23,6 +23,11 @@ constexpr std::size_t kParallelInternMin = 65'536;
 /// contiguous blocks (the counting sort's histograms, the prefix scan).
 constexpr std::size_t kMaxBlocks = 256;
 
+/// States per expansion block: each block decodes into one state and steps
+/// through one scratch, so their set-up is paid once per block. Ids never
+/// depend on it — each state writes only its own Expansion.
+constexpr std::size_t kExpandGrain = 64;
+
 constexpr std::size_t kShards = StateIndex::kShards;
 constexpr std::uint32_t kPendingTag = StateIndex::kPendingTag;
 
@@ -116,25 +121,33 @@ void LevelExplorer::run(std::size_t max_states, int threads) {
 
     // Parallel phase: expand each state of the level into its own buffer.
     // Workers read shared immutable state and write only their task's slot.
+    // Each block of states decodes into one state and steps through one
+    // scratch, so successors are encoded straight off the scratch and no
+    // branch touches the allocator once the two have the layout's shape.
     if (scratch.level.size() < count) scratch.level.resize(count);
     {
       obs::Span expand_span("explore.expand");
-      common::parallel_for(count, threads, [&](std::uint32_t i) {
-        const sim::SimState state = codec_.decode(index_.key(static_cast<StateId>(begin + i)));
-        Expansion& e = scratch.level[i];
-        e.clear();
-        PackedKey key;
-        for (PhilId p = 0; p < n; ++p) {
-          const std::vector<sim::Branch> branches = algo_.step(topology_, state, p);
-          for (const sim::Branch& b : branches) {
-            codec_.encode(b.next, key);
-            const std::uint64_t* w = key.data();
-            e.succ_words.insert(e.succ_words.end(), w, w + kw);
-            e.succ_hashes.push_back(hash_key_words(w, kw));
-            e.succ_eaters.push_back(sim::eater_mask(b.next));
-            e.probs.push_back(static_cast<float>(b.prob));
+      common::parallel_for(count, kExpandGrain, threads, [&](std::size_t lo, std::size_t hi) {
+        sim::SimState state;
+        sim::SimState next;
+        Expansion* e = nullptr;
+        algos::SinkFn record([&](double prob, const sim::StepEvent&, const sim::SimState& succ) {
+          const std::size_t at = e->succ_words.size();
+          e->succ_words.resize(at + kw);
+          std::uint64_t* w = e->succ_words.data() + at;
+          codec_.encode(succ, w);
+          e->succ_hashes.push_back(hash_key_words(w, kw));
+          e->succ_eaters.push_back(sim::eater_mask(succ));
+          e->probs.push_back(static_cast<float>(prob));
+        });
+        for (std::size_t i = lo; i < hi; ++i) {
+          codec_.decode(index_.key(static_cast<StateId>(begin + i)), state);
+          e = &scratch.level[i];
+          e->clear();
+          for (PhilId p = 0; p < n; ++p) {
+            algo_.step(topology_, state, p, next, record);
+            e->row_ends.push_back(static_cast<std::uint32_t>(e->probs.size()));
           }
-          e.row_ends.push_back(static_cast<std::uint32_t>(e.probs.size()));
         }
       });
     }

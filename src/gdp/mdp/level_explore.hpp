@@ -9,8 +9,11 @@
 //   1. Parallel expansion: every state of the level decodes its packed key,
 //      steps the algorithm for each philosopher, and records its successor
 //      keys/hashes/eater masks/probabilities in a per-state buffer (reused
-//      across levels). Tasks share nothing writable, so any schedule
-//      produces the same buffers.
+//      across levels). Each block of states decodes into one reused state
+//      and steps through one reused scratch (Algorithm::step's sink form);
+//      the sink encodes, hashes and eater-masks each successor straight into
+//      the state's buffer, so no branch allocates a SimState. Tasks share
+//      nothing writable, so any schedule produces the same buffers.
 //   2. Phase-concurrent interning into the StateIndex (key.hpp). Every
 //      successor has a level position in (state, philosopher, branch)
 //      order — its index in the level's outcome rows. A stable counting

@@ -1,6 +1,7 @@
 #include "gdp/sim/state.hpp"
 
 #include <algorithm>
+#include <array>
 
 #include "gdp/common/check.hpp"
 #include "gdp/common/strings.hpp"
@@ -73,23 +74,21 @@ void mark_used(SimState& state, const graph::Topology& t, ForkId f, PhilId p) {
   const int slot = t.slot_of(f, p);
 
   // p becomes the most recent user, then ranks are compressed to stay dense
-  // (never-used slots keep rank 0; used slots get 1..count by recency).
+  // (never-used slots keep rank 0; used slots get 1..count by recency): a
+  // rank's new value is the number of distinct used ranks at or below it.
   std::uint8_t max_rank = 0;
   for (std::uint8_t r : fork.use_rank) max_rank = std::max(max_rank, r);
-  fork.use_rank[static_cast<std::size_t>(slot)] = static_cast<std::uint8_t>(max_rank + 1);
+  const auto mine = static_cast<std::uint8_t>(max_rank + 1);
+  fork.use_rank[static_cast<std::size_t>(slot)] = mine;
 
-  std::vector<std::uint8_t> distinct;
-  for (std::uint8_t r : fork.use_rank) {
-    if (r != 0) distinct.push_back(r);
+  std::array<std::uint8_t, 256> dense{};  // rank -> 1 if used, then -> new rank
+  for (std::uint8_t r : fork.use_rank) dense[r] = 1;
+  dense[0] = 0;
+  std::uint8_t count = 0;
+  for (std::size_t r = 1; r <= std::max(max_rank, mine); ++r) {
+    if (dense[r] != 0) dense[r] = ++count;
   }
-  std::sort(distinct.begin(), distinct.end());
-  distinct.erase(std::unique(distinct.begin(), distinct.end()), distinct.end());
-  for (std::uint8_t& r : fork.use_rank) {
-    if (r != 0) {
-      const auto it = std::lower_bound(distinct.begin(), distinct.end(), r);
-      r = static_cast<std::uint8_t>(1 + (it - distinct.begin()));
-    }
-  }
+  for (std::uint8_t& r : fork.use_rank) r = dense[r];
 }
 
 bool cond_holds(const SimState& state, const graph::Topology& t, ForkId f, PhilId p) {

@@ -3,9 +3,13 @@
 // algorithm-owned auxiliary word vector (used only by the non-distributed
 // baselines of §1 — the arbiter's queue and the ticket box).
 //
-// SimState is a value type: the algorithms produce probabilistic branches by
-// copying and mutating it, which serves the simulator (sample a branch), the
-// MDP model checker (enumerate all branches) and the replayer identically.
+// SimState is a value type. An algorithm's step emits each probabilistic
+// branch as a successor built in a caller-owned scratch SimState (copied
+// from the current state, then mutated) or as the current state itself, which
+// serves the simulator (sample a branch), the MDP model checker (enumerate
+// all branches) and the replayer identically. Copy-assigning into a scratch
+// of the same shape reuses its storage, so a reused scratch steps without
+// allocating.
 //
 // Paper state fields:
 //   fork.holder          — who holds the fork (test-and-set target, §2)

@@ -34,10 +34,6 @@ std::string StepEvent::to_string() const {
   return out;
 }
 
-Branch deterministic(SimState next, StepEvent event) {
-  return Branch{1.0, event, std::move(next)};
-}
-
 bool is_self_loop(const SimState& current, const std::vector<Branch>& branches) {
   for (const Branch& b : branches) {
     if (!(b.next == current)) return false;

@@ -49,9 +49,6 @@ struct Branch {
   SimState next;
 };
 
-/// Convenience: a single deterministic branch.
-Branch deterministic(SimState next, StepEvent event);
-
 /// True if every branch leaves the configuration unchanged (a pure busy-wait
 /// step). Used by the engine's deadlock detector.
 bool is_self_loop(const SimState& current, const std::vector<Branch>& branches);

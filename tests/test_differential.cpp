@@ -13,6 +13,11 @@
 // SimState::encode distinguishes. Cross-checking both encodings on every
 // state live runs visit pins the packed keys to the reference encoding —
 // equal bytes iff equal packed key, and decode() inverts exactly.
+//
+// The step guard: every algorithm has one step implementation, emitting
+// into a sink over a caller-owned scratch state, and the vector-returning
+// step() collects that same stream. On every reachable state the two forms
+// must agree branch for branch whatever the scratch held before the call.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -21,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "gdp/common/check.hpp"
 #include "gdp/exp/runner.hpp"
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/key.hpp"
@@ -147,6 +153,109 @@ TEST(Differential, PackedKeysMatchLegacyEncodeOnBaselines) {
   expect_codec_matches_legacy_encode("arbiter", graph::classic_ring(3));
   expect_codec_matches_legacy_encode("ticket", graph::classic_ring(3));
   expect_codec_matches_legacy_encode("ordered", graph::ring_with_chord(4));
+}
+
+/// One recorded branch of the sink form, copied out during the sink call.
+struct Emitted {
+  double prob;
+  sim::StepEvent event;
+  sim::SimState next;
+};
+
+void expect_event_eq(const sim::StepEvent& a, const sim::StepEvent& b) {
+  EXPECT_EQ(a.kind, b.kind);
+  EXPECT_EQ(a.side, b.side);
+  EXPECT_EQ(a.fork, b.fork);
+  EXPECT_EQ(a.value, b.value);
+}
+
+/// Steps every philosopher of every reachable state (up to `cap`) through the
+/// sink form with a scratch holding an unrelated decoded state, and with a
+/// scratch of the wrong shape; each must emit exactly the branches the
+/// collecting form returns, with `next` aliasing only the state or the
+/// scratch.
+void expect_sink_matches_collect(const std::string& algo_name, const graph::Topology& t,
+                                 std::size_t cap) {
+  SCOPED_TRACE(algo_name + " on " + t.name());
+  const auto algo = algos::make_algorithm(algo_name);
+  mdp::StateIndex index;
+  (void)mdp::explore_indexed(*algo, t, index, {.threads = 2, .max_states = cap});
+  const mdp::KeyCodec& codec = index.codec();
+  const std::size_t states = index.size();
+
+  sim::SimState wrong_shape;
+  wrong_shape.forks.resize(static_cast<std::size_t>(t.num_forks()) + 2);
+  wrong_shape.forks[0].use_rank.assign(70, 9);
+  wrong_shape.forks[1].nr = 5;
+  wrong_shape.forks[1].requests = ~std::uint64_t{0};
+  wrong_shape.phils.resize(1);
+  wrong_shape.phils[0].scratch = 3;
+  wrong_shape.aux.assign(7, 1);
+
+  std::vector<Emitted> emitted;
+  const sim::SimState* state_ptr = nullptr;
+  const sim::SimState* scratch_ptr = nullptr;
+  algos::SinkFn record([&](double prob, const sim::StepEvent& event, const sim::SimState& next) {
+    EXPECT_TRUE(&next == state_ptr || &next == scratch_ptr)
+        << "next aliases neither the state nor the scratch";
+    emitted.push_back(Emitted{prob, event, next});
+  });
+
+  sim::SimState state;
+  sim::SimState scratch;
+  for (mdp::StateId id = 0; id < states; ++id) {
+    codec.decode(index.key(id), state);
+    for (PhilId p = 0; p < t.num_phils(); ++p) {
+      const std::vector<sim::Branch> collected = algo->step(t, state, p);
+      // The collecting form steps through a fresh scratch; the sink form
+      // here gets one dirtied by an unrelated state, then a misshapen one.
+      for (int variant = 0; variant < 2; ++variant) {
+        SCOPED_TRACE("state " + std::to_string(id) + ", philosopher " + std::to_string(p) +
+                     (variant == 0 ? ", unrelated scratch" : ", misshapen scratch"));
+        if (variant == 0) {
+          const auto unrelated = static_cast<mdp::StateId>((id * std::size_t{7919} + 1) % states);
+          codec.decode(index.key(unrelated), scratch);
+        } else {
+          scratch = wrong_shape;
+        }
+        emitted.clear();
+        state_ptr = &state;
+        scratch_ptr = &scratch;
+        algo->step(t, state, p, scratch, record);
+        ASSERT_EQ(emitted.size(), collected.size());
+        for (std::size_t b = 0; b < collected.size(); ++b) {
+          EXPECT_EQ(emitted[b].prob, collected[b].prob);
+          expect_event_eq(emitted[b].event, collected[b].event);
+          ASSERT_EQ(emitted[b].next, collected[b].next)
+              << "branch " << b << ": " << sim::to_string(emitted[b].next, t) << " vs "
+              << sim::to_string(collected[b].next, t);
+        }
+      }
+    }
+  }
+}
+
+TEST(Differential, SinkStepMatchesCollectedStepWithDirtyScratch) {
+  // ring(3) and parallel(3) complete; fig1a capped at a level boundary.
+  const std::pair<graph::Topology, std::size_t> topologies[] = {
+      {graph::classic_ring(3), 2'000'000},
+      {graph::parallel_arcs(3), 2'000'000},
+      {graph::fig1a(), 20'000},
+  };
+  for (const std::string& name : algos::algorithm_names()) {
+    const auto algo = algos::make_algorithm(name);
+    int covered = 0;
+    for (const auto& [t, cap] : topologies) {
+      try {
+        algo->validate(t);
+      } catch (const PreconditionError&) {
+        continue;  // colored runs only on even rings
+      }
+      expect_sink_matches_collect(name, t, cap);
+      ++covered;
+    }
+    if (covered == 0) expect_sink_matches_collect(name, graph::classic_ring(4), 2'000'000);
+  }
 }
 
 // The paper's deadlock-freedom claim, exercised through gdp::exp: GDP and

@@ -159,6 +159,30 @@ TEST(RunnerTest, SkipInvalidMarksCellInsteadOfThrowing) {
   EXPECT_NE(result.json().find("\"skipped\":true"), std::string::npos);
 }
 
+TEST(RunnerTest, SkipInvalidStillRefusesOutOfRangeConfigs) {
+  // skip_invalid skips topologies an algorithm cannot run on; a config out
+  // of range on every topology is a spec error, not a skipped cell.
+  CampaignSpec spec;
+  spec.trials = 1;
+  spec.topologies = {graph::classic_ring(3)};
+  spec.algorithms = {"lr1"};
+  spec.schedulers = {longest_waiting()};
+  spec.engine.max_steps = 100;
+  spec.skip_invalid = true;
+  spec.configs = {algos::AlgoConfig{.p_left = 1.5}};
+  EXPECT_THROW(run_campaign(spec, 1), PreconditionError);
+  spec.configs = {algos::AlgoConfig{.think = algos::ThinkMode::kCoin, .think_coin = 0.0}};
+  EXPECT_THROW(run_campaign(spec, 1), PreconditionError);
+  spec.configs = {algos::AlgoConfig{.m = -1}};
+  EXPECT_THROW(run_campaign(spec, 1), PreconditionError);
+  spec.algorithms = {"gdp1"};
+  spec.configs = {algos::AlgoConfig{.m = 70'000}};
+  EXPECT_THROW(validate(spec), PreconditionError);
+  // A valid config still runs.
+  spec.configs = {algos::AlgoConfig{.m = 5}};
+  EXPECT_FALSE(run_campaign(spec, 1).at(0).skipped());
+}
+
 TEST(RunnerTest, WorkerExceptionPropagates) {
   auto spec = tiny_spec();
   spec.schedulers = {SchedulerSpec{

@@ -16,6 +16,7 @@
 #include "gdp/common/check.hpp"
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/key.hpp"
+#include "gdp/mdp/witness.hpp"
 #include "gdp/rng/rng.hpp"
 #include "gdp/sim/engine.hpp"
 #include "gdp/sim/schedulers/basic.hpp"
@@ -116,6 +117,37 @@ TEST(KeyCodec, RoundTripBaselinesWithAuxWords) {
   expect_round_trip_and_injective("arbiter", graph::classic_ring(3), 1'300);
   expect_round_trip_and_injective("ticket", graph::classic_ring(4), 1'400);
   expect_round_trip_and_injective("ordered", graph::ring_with_chord(4), 1'500);
+}
+
+// decode into a reused state overwrites every field: one state, dirtied by
+// every earlier key and by models of other shapes (books, numbers, aux
+// words, other sizes), decodes each key of each model to exactly what a
+// fresh decode yields.
+TEST(KeyCodec, DecodeIntoDirtyStateMatchesFreshDecode) {
+  sim::SimState dirty;
+  dirty.forks.resize(9);
+  dirty.forks[0].use_rank.assign(5, 3);
+  dirty.forks[1].requests = 0b101;
+  dirty.forks[2].nr = 7;
+  dirty.phils.resize(2);
+  dirty.phils[0].scratch = 11;
+  dirty.aux.assign(4, 2);
+  const std::pair<const char*, graph::Topology> cases[] = {
+      {"lr2", graph::parallel_arcs(3)},  {"gdp1", graph::classic_ring(3)},
+      {"arbiter", graph::classic_ring(3)}, {"gdp2", graph::ring_with_pendant(3)},
+      {"ticket", graph::classic_ring(4)},  {"lr1", graph::fig1a()},
+  };
+  for (const auto& [name, t] : cases) {
+    SCOPED_TRACE(std::string(name) + " on " + t.name());
+    const auto algo = algos::make_algorithm(name);
+    StateIndex index;
+    (void)explore_indexed(*algo, t, index, {.threads = 1, .max_states = 20'000});
+    const KeyCodec& codec = index.codec();
+    for (StateId id = 0; id < index.size(); ++id) {
+      codec.decode(index.key(id), dirty);
+      ASSERT_EQ(dirty, codec.decode(index.key(id))) << "state " << id;
+    }
+  }
 }
 
 // --- Layout-width pins: the exact bit budget per family. ---
