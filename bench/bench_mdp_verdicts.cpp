@@ -4,15 +4,16 @@
 // we report: progress under every fair adversary (Theorem 3's property),
 // lockout-freedom for every philosopher (Theorem 4's property), state
 // counts, the expected steps-to-first-meal under the uniform fair scheduler
-// (exact, from the chain analysis), and the same quantity sampled through a
-// gdp::exp campaign as a cross-check of the exact value. Expected shape:
+// (the midpoint of quant::analyze_uniform's certified interval), and the
+// same quantity sampled through a gdp::exp campaign as a cross-check of the
+// certified value. Expected shape:
 //   lr1: progress on rings only; never lockout-free;
 //   lr2: progress except on Theorem-2 graphs; lockout-free on rings;
 //   gdp1: progress everywhere; not lockout-free (§5);
 //   gdp2 (Table 4 literal): progress everywhere; NOT lockout-free on the
 //        ring — the reproduction erratum (Cond skipped on the second take);
 //   gdp2c (prose-faithful): progress + lockout-freedom everywhere checked;
-//   sampled E[steps to first meal] ≈ exact (within sampling noise).
+//   sampled E[steps to first meal] ≈ certified (within sampling noise).
 //
 // Verdicts run on the model checker (gdp::mdp, exploration on the pool);
 // the sampling cross-check runs as one campaign on the shared work-stealing
@@ -24,7 +25,6 @@
 #include "gdp/common/strings.hpp"
 #include "gdp/exp/runner.hpp"
 #include "gdp/graph/builders.hpp"
-#include "gdp/mdp/chain_analysis.hpp"
 #include "gdp/mdp/fair_progress.hpp"
 #include "gdp/mdp/model.hpp"
 #include "gdp/mdp/quant/quant.hpp"
@@ -44,7 +44,7 @@ int main() {
   // The sampling side, ported onto the campaign Runner: every
   // (algorithm x topology) cell runs uniform-scheduler trials in parallel
   // with deterministic per-trial seeds; mean first-meal step approximates
-  // the chain analysis' exact expectation.
+  // the certified uniform-scheduler expectation.
   exp::CampaignSpec sampling;
   sampling.name = "mdp-verdicts-sampling";
   sampling.seed = 50'000;
@@ -65,7 +65,7 @@ int main() {
   const int hw = std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
 
   stats::Table table({"algorithm", "topology", "states", "progress", "lockout-free", "Pmin",
-                      "E[worst]", "E[1st meal] exact", "E[1st meal] sampled"});
+                      "E[worst]", "E[1st meal] certified", "E[1st meal] sampled"});
   for (std::size_t a = 0; a < algorithms.size(); ++a) {
     const std::string& name = algorithms[a];
     for (std::size_t ti = 0; ti < topologies.size(); ++ti) {
@@ -102,8 +102,10 @@ int main() {
         quant = mdp::quant::analyze(model, ~std::uint64_t{0}, qopts);
       }
 
-      mdp::ChainAnalysis chain;
-      if (!model.truncated()) chain = mdp::analyze_uniform_chain(model);
+      // The uniform scheduler's chain, through the same certified engine.
+      mdp::quant::QuantOptions uopts;
+      uopts.threads = thread_counts.back();
+      const auto uniform = mdp::quant::analyze_uniform(model, uopts);
       auto verdict_str = [](mdp::Verdict v) {
         switch (v) {
           case mdp::Verdict::kProgressCertain: return "yes (certified)";
@@ -122,7 +124,9 @@ int main() {
                      !certified            ? "unknown"
                      : quant.e_max.finite() ? format_double((quant.e_max.lower + quant.e_max.upper) / 2, 1)
                                             : "inf",
-                     chain.expected_converged ? format_double(chain.expected_steps, 1) : "n/a",
+                     uniform.certainty == mdp::quant::Certainty::kCertified
+                         ? format_double((uniform.e_min.lower + uniform.e_min.upper) / 2, 1)
+                         : "n/a",
                      cell_sampled ? format_double(cell.first_meal().mean(), 1) : "n/a"});
     }
     table.add_rule();
@@ -135,9 +139,10 @@ int main() {
               "E[worst] are gdp::mdp::quant's certified fair-adversary bounds (midpoints of\n"
               "intervals of width <= 1e-6): the minimum first-meal probability and the\n"
               "worst-case expected productive steps to a meal (inf exactly when a fair trap\n"
-              "is reachable without a meal). The sampled column is %d uniform-scheduler\n"
-              "trials per cell on the campaign runner; it should bracket the exact\n"
-              "expectation.\n",
+              "is reachable without a meal). E[1st meal] certified is the expected\n"
+              "first-meal step under the uniform scheduler (quant::analyze_uniform, midpoint).\n"
+              "The sampled column is %d uniform-scheduler trials per cell on the campaign\n"
+              "runner; it should bracket the certified expectation.\n",
               sampling.trials);
   bench::write_bench_report("mdp_verdicts");
   return 0;

@@ -58,10 +58,11 @@ fi
 # ASan and TSan cannot share a build tree. test_explore_oracle's
 # lr2/parallel(4) cases have levels past the explorer's inline-intern
 # cutoff, so the parallel intern phases (sharded table, prefix scan, slot
-# settling) run under TSan too. The one list feeds both the build targets
-# and the ctest selection.
-TSAN_SUITES=(test_pool test_mdp_par test_explore_oracle test_exp test_key test_quant test_store
-             test_obs)
+# settling) run under TSan too; test_chain's lr2/parallel(3) (17,186
+# states) does the same for the uniform view's quotient build and e_min
+# sweeps. The one list feeds both the build targets and the ctest selection.
+TSAN_SUITES=(test_pool test_mdp_par test_explore_oracle test_exp test_key test_quant test_chain
+             test_store test_obs)
 
 tsan_pass() {
   echo "=== tsan: configure ==="

@@ -11,27 +11,7 @@ using sim::StepEvent;
 
 namespace {
 
-/// How Choose picks the first fork.
-enum class FirstFork : std::uint8_t {
-  kDraw,      // random_choice(left, right) with P(left) = p_left (LR1, LR2)
-  kHigherNr,  // the higher nr, ties right; adds the Renumber step (GDP1, GDP2)
-  kHigherId,  // the higher fork id (ordered)
-  kColor,     // even philosophers left, odd right (colored)
-};
-
-struct Variant {
-  const char* name;
-  FirstFork first;
-  /// Request bits, Cond on the first take, guest books signed after eating.
-  bool courteous;
-  /// Cond also guards the second take (gdp2c; see the header's note).
-  bool cond_on_second;
-  /// A taken second fork: keep the first and wait (true), or release it
-  /// and choose again (false).
-  bool hold_second;
-};
-
-constexpr Variant kVariants[] = {
+constexpr TwoForkVariant kVariants[] = {
     // name      first fork            courteous  cond 2nd  hold 2nd
     {"lr1",      FirstFork::kDraw,     false,     false,    false},
     {"lr2",      FirstFork::kDraw,     true,      false,    false},
@@ -53,7 +33,7 @@ void set_request(SimState& state, const graph::Topology& t, ForkId f, PhilId p, 
 
 class TwoFork final : public Algorithm {
  public:
-  TwoFork(const Variant& v, AlgoConfig config) : Algorithm(config), v_(v) {}
+  TwoFork(const TwoForkVariant& v, AlgoConfig config) : Algorithm(config), v_(v) {}
 
   std::string name() const override { return v_.name; }
   bool uses_books() const override { return v_.courteous; }
@@ -70,7 +50,7 @@ class TwoFork final : public Algorithm {
             BranchSink& sink) const override;
 
  private:
-  const Variant& v_;
+  const TwoForkVariant& v_;
 };
 
 void TwoFork::validate(const graph::Topology& t) const {
@@ -221,11 +201,18 @@ void TwoFork::step(const graph::Topology& t, const SimState& state, PhilId p, Si
 
 }  // namespace
 
-std::unique_ptr<Algorithm> make_two_fork(const std::string& name, AlgoConfig config) {
-  for (const Variant& v : kVariants) {
-    if (name == v.name) return std::make_unique<TwoFork>(v, config);
+std::span<const TwoForkVariant> two_fork_variants() { return kVariants; }
+
+const TwoForkVariant* find_two_fork(const std::string& name) {
+  for (const TwoForkVariant& v : kVariants) {
+    if (name == v.name) return &v;
   }
   return nullptr;
+}
+
+std::unique_ptr<Algorithm> make_two_fork(const std::string& name, AlgoConfig config) {
+  const TwoForkVariant* v = find_two_fork(name);
+  return v ? std::make_unique<TwoFork>(*v, config) : nullptr;
 }
 
 }  // namespace gdp::algos

@@ -138,15 +138,46 @@
 // deadlock-free. NOT symmetric (colors distinguish philosophers).
 #pragma once
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "gdp/algos/algorithm.hpp"
 
 namespace gdp::algos {
 
-/// The two-fork program named `name` ("lr1", "lr2", "gdp1", "gdp2",
-/// "gdp2c", "ordered" or "colored"); nullptr for any other name.
+/// How Choose picks the first fork.
+enum class FirstFork : std::uint8_t {
+  kDraw,      // random_choice(left, right) with P(left) = p_left (LR1, LR2)
+  kHigherNr,  // the higher nr, ties right; adds the Renumber step (GDP1, GDP2)
+  kHigherId,  // the higher fork id (ordered)
+  kColor,     // even philosophers left, odd right (colored)
+};
+
+/// One row of the two-fork table: a program's position on the design axes.
+/// The simulator's step() and the real-thread runtime (gdp/runtime) both
+/// read these columns, so a new row runs in both.
+struct TwoForkVariant {
+  const char* name;
+  FirstFork first;
+  /// Request bits, Cond on the first take, guest books signed after eating.
+  bool courteous;
+  /// Cond also guards the second take (gdp2c; see the note above).
+  bool cond_on_second;
+  /// A taken second fork: keep the first and wait (true), or release it
+  /// and choose again (false).
+  bool hold_second;
+};
+
+/// Every row, in table order: lr1, lr2, gdp1, gdp2, gdp2c, ordered, colored.
+std::span<const TwoForkVariant> two_fork_variants();
+
+/// The row named `name`; nullptr for any other name.
+const TwoForkVariant* find_two_fork(const std::string& name);
+
+/// The two-fork program named `name` (a two_fork_variants() row); nullptr
+/// for any other name.
 std::unique_ptr<Algorithm> make_two_fork(const std::string& name, AlgoConfig config);
 
 }  // namespace gdp::algos

@@ -187,6 +187,24 @@ struct QuantResult {
 QuantResult analyze(const Model& model, std::uint64_t target_set = ~std::uint64_t{0},
                     QuantOptions options = {});
 
+/// Quantitative analysis of the Markov chain the UNIFORM scheduler induces
+/// on `model` (each step schedules each philosopher with probability 1/n):
+/// analyze() over a read-only view of the model with one action per state,
+/// state s's n rows at weight 1/n each, and one target "somebody eats".
+/// With one action there is one adversary, so
+///   * p_min = p_max = P(reach E), the chain's hitting probability;
+///   * e_min = E[steps to the first meal], every step charged, +inf iff
+///     P(reach E) < 1;
+///   * e_max equals e_min (nothing is collapsed outside a trap) and p_trap
+///     is P(reach a bottom SCC that avoids E);
+///   * progress is kProgressFails iff such a bottom SCC exists (its witness
+///     is that SCC), num_mecs counts them.
+/// Intervals are certified exactly as analyze()'s are, bit-identical at
+/// every thread count. The weight is applied in double where the analysis
+/// reads a probability (detail::prob_of, the one seam through which a view
+/// reweights outcomes), never baked into float copies: those round twice.
+QuantResult analyze_uniform(const Model& model, QuantOptions options = {});
+
 /// One-call convenience: explore (at options.threads, capped at
 /// options.max_states) + analyze.
 QuantResult analyze(const algos::Algorithm& algo, const graph::Topology& t,

@@ -99,6 +99,17 @@ inline double fold_max(const std::vector<double>& partial) {
   return best;
 }
 
+/// The probability of outcome `o` of `model`, read in double. This is the
+/// one place the Bellman operators read a probability (build_quotient's
+/// q.prob and iterate_time_min's accumulator), so a read-only view can
+/// reweight a model's outcomes without copying them: an overload for the
+/// view, found by argument-dependent lookup, replaces this default.
+/// `Model` and `ChunkedModel` read the stored float unchanged.
+template <class ModelT>
+double prob_of(const ModelT& /*model*/, const Outcome& o) {
+  return static_cast<double>(o.prob);
+}
+
 /// The MEC quotient of one fragment of the model (see file comment).
 struct Quotient {
   std::uint32_t num_nodes = 0;
@@ -266,7 +277,7 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
           if (internal) continue;
         }
         for (const Outcome* o = begin; o != end; ++o) {
-          q.prob[o_at] = static_cast<double>(o->prob);
+          q.prob[o_at] = prob_of(model, *o);
           q.dest[o_at] = q.node_of[o->next];
           ++o_at;
         }
@@ -588,7 +599,7 @@ Phase iterate_time_min(const ModelT& model, std::uint64_t target_mask,
           ok = false;
           break;
         }
-        acc += static_cast<double>(o->prob) * (model.frontier(o->next) ? 0.0 : val[o->next]);
+        acc += prob_of(model, *o) * (model.frontier(o->next) ? 0.0 : val[o->next]);
       }
       if (ok) best = std::min(best, acc);
     }
@@ -669,6 +680,13 @@ QuantResult analyze_t(const ModelT& model, std::uint64_t target_set, const Quant
 
   const bool initial_target = fq.initial == kGoal;
   const bool initial_unknown = fq.initial == kUnknown;
+  // No fair trap is meal-free-reachable on a complete model: every fair
+  // adversary eats with probability 1, so p_min = 1 and Pmax = 1 at every
+  // meal-free-reachable state. Float outcome masses can sum to just under
+  // 1 (25 outcomes of 1.0f/25 sum to 0.99999998), which leaves the numeric
+  // Pmax bracket a few ulps short of 1; the qualitative certificate
+  // overrules it, here and in e_min's infinity tests below.
+  const bool meal_certain = !result.fair_trap_reachable && complete;
 
   bool all_converged = true;
   // One phase's bookkeeping: per-phase sweep slot, the running total, and
@@ -692,7 +710,8 @@ QuantResult analyze_t(const ModelT& model, std::uint64_t target_set, const Quant
     const std::vector<double> no_pins(fq.num_nodes, -1.0);
     const Phase phase = iterate_reach_max(fq, no_pins, /*goal_value=*/1.0, options, lo, hi_pmax);
     note(result.stats.p_max_sweeps, phase);
-    result.p_max = make_interval(lo[fq.initial], hi_pmax[fq.initial]);
+    result.p_max =
+        meal_certain ? Interval{1.0, 1.0} : make_interval(lo[fq.initial], hi_pmax[fq.initial]);
   }
 
   // --- p_min = 1 - Pmax[fragment](reach a fair avoiding MEC). ---
@@ -701,7 +720,7 @@ QuantResult analyze_t(const ModelT& model, std::uint64_t target_set, const Quant
   } else if (initial_unknown) {
     result.p_min = {0.0, 1.0};
     all_converged = false;
-  } else if (!result.fair_trap_reachable && complete) {
+  } else if (meal_certain) {
     result.p_min = {1.0, 1.0};  // qualitative: no meal-free path to any fair trap
   } else {
     std::vector<double> pins(fq.num_nodes, -1.0);
@@ -728,8 +747,9 @@ QuantResult analyze_t(const ModelT& model, std::uint64_t target_set, const Quant
     const std::vector<std::uint8_t> domain = fragment_reachable(model, target_set);
     // States whose certified Pmax upper bound is below 1 have infinite
     // expected time under every adversary; the minimizer never enters them.
+    // Under meal_certain there are none.
     std::vector<std::uint8_t> bad(model.num_states(), 0);
-    if (!hi_pmax.empty()) {
+    if (!meal_certain && !hi_pmax.empty()) {
       for (StateId s = 0; s < model.num_states(); ++s) {
         if (is_node(fq.node_of[s]) && hi_pmax[fq.node_of[s]] < 1.0) bad[s] = 1;
       }

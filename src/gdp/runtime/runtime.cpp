@@ -7,6 +7,7 @@
 #include <thread>
 
 #include "gdp/algos/algorithm.hpp"
+#include "gdp/algos/two_fork.hpp"
 #include "gdp/common/check.hpp"
 #include "gdp/graph/algorithms.hpp"
 #include "gdp/obs/obs.hpp"
@@ -17,20 +18,6 @@
 namespace gdp::runtime {
 namespace {
 
-enum class Kind : std::uint8_t { kLr1, kLr2, kGdp1, kGdp2, kGdp2c, kOrdered, kTicket };
-
-Kind parse_kind(const std::string& name) {
-  if (name == "lr1") return Kind::kLr1;
-  if (name == "lr2") return Kind::kLr2;
-  if (name == "gdp1") return Kind::kGdp1;
-  if (name == "gdp2") return Kind::kGdp2;
-  if (name == "gdp2c") return Kind::kGdp2c;
-  if (name == "ordered") return Kind::kOrdered;
-  if (name == "ticket") return Kind::kTicket;
-  GDP_CHECK_MSG(false, "run_threads: unsupported algorithm '" << name << "'");
-  __builtin_unreachable();
-}
-
 /// The classic ring: one connected cycle with as many forks as philosophers,
 /// every fork shared by two. Only there do n-1 tickets rule out circular
 /// wait (see algos/ticket.hpp).
@@ -40,11 +27,6 @@ bool is_classic_ring(const graph::Topology& t) {
     if (t.degree(f) != 2) return false;
   }
   return true;
-}
-
-bool uses_books(Kind kind) { return kind == Kind::kLr2 || kind == Kind::kGdp2 || kind == Kind::kGdp2c; }
-bool is_gdp(Kind kind) {
-  return kind == Kind::kGdp1 || kind == Kind::kGdp2 || kind == Kind::kGdp2c;
 }
 
 inline void cpu_relax() {
@@ -73,7 +55,9 @@ struct Shared {
   std::atomic<std::uint64_t> violations{0};
   std::uint64_t target_meals = 0;
 
-  Kind kind = Kind::kGdp1;
+  /// The two-fork table row the workers run; nullptr runs ticket, which
+  /// takes a ticket, then its left fork, then waits for its right.
+  const algos::TwoForkVariant* row = nullptr;
   int m = 0;
   double p_left = 0.5;
   int think_work = 0;
@@ -97,7 +81,9 @@ class Worker {
         left_(shared.topology.left_of(id)),
         right_(shared.topology.right_of(id)),
         slot_left_(shared.topology.slot_at(id, Side::kLeft)),
-        slot_right_(shared.topology.slot_at(id, Side::kRight)) {}
+        slot_right_(shared.topology.slot_at(id, Side::kRight)),
+        ticket_(shared.row == nullptr),
+        courteous_(!ticket_ && shared.row->courteous) {}
 
   void run() {
     while (!s_.stop.load(std::memory_order_relaxed)) {
@@ -106,8 +92,8 @@ class Worker {
       // timing-plane clock, so no lint suppression is needed.
       const obs::Stopwatch hunger_clock;
 
-      if (s_.kind == Kind::kTicket && !acquire_ticket()) break;
-      if (uses_books(s_.kind)) {
+      if (ticket_ && !acquire_ticket()) break;
+      if (courteous_) {
         s_.books[static_cast<std::size_t>(left_)]->insert_request(slot_left_);
         s_.books[static_cast<std::size_t>(right_)]->insert_request(slot_right_);
       }
@@ -125,7 +111,7 @@ class Worker {
       exit_canary(right_);
       exit_canary(left_);
 
-      if (uses_books(s_.kind)) {
+      if (courteous_) {
         s_.books[static_cast<std::size_t>(left_)]->remove_request(slot_left_);
         s_.books[static_cast<std::size_t>(right_)]->remove_request(slot_right_);
         s_.books[static_cast<std::size_t>(left_)]->mark_used(slot_left_);
@@ -133,7 +119,7 @@ class Worker {
       }
       s_.forks[static_cast<std::size_t>(left_)].release(id_);
       s_.forks[static_cast<std::size_t>(right_)].release(id_);
-      if (s_.kind == Kind::kTicket) s_.tickets.fetch_add(1, std::memory_order_release);
+      if (ticket_) s_.tickets.fetch_add(1, std::memory_order_release);
 
       ++out_.meals;
       const std::uint64_t total = s_.meals.fetch_add(1, std::memory_order_relaxed) + 1;
@@ -152,29 +138,28 @@ class Worker {
   bool stopped() const { return s_.stop.load(std::memory_order_relaxed); }
 
   Side choose_first() {
-    switch (s_.kind) {
-      case Kind::kLr1:
-      case Kind::kLr2:
+    if (ticket_) return Side::kLeft;
+    switch (s_.row->first) {
+      case algos::FirstFork::kDraw:
         return rng_.choose_side(s_.p_left);
-      case Kind::kGdp1:
-      case Kind::kGdp2:
-      case Kind::kGdp2c:
+      case algos::FirstFork::kHigherNr:
         // Table 3 step 2: higher nr first, ties to the right.
         return fork(left_).nr() > fork(right_).nr() ? Side::kLeft : Side::kRight;
-      case Kind::kOrdered:
+      case algos::FirstFork::kHigherId:
         return left_ > right_ ? Side::kLeft : Side::kRight;
-      case Kind::kTicket:
-        return Side::kLeft;
+      case algos::FirstFork::kColor:
+        // Yellow (even id) left first, blue (odd id) right first.
+        return id_ % 2 == 0 ? Side::kLeft : Side::kRight;
     }
     return Side::kLeft;
   }
 
-  /// Spin until the first fork is taken (test-and-set; LR2/GDP2 add Cond).
+  /// Spin until the first fork is taken (test-and-set; courteous rows add
+  /// Cond).
   bool take_first(ForkId f) {
-    const bool courteous = uses_books(s_.kind);
     for (std::uint32_t spins = 0;; ++spins) {
       if (stopped()) return false;
-      if (fork(f).is_free() && (!courteous || books(f).cond_holds(slot_of(f))) &&
+      if (fork(f).is_free() && (!courteous_ || books(f).cond_holds(slot_of(f))) &&
           fork(f).try_take(id_)) {
         return true;
       }
@@ -183,17 +168,17 @@ class Worker {
     }
   }
 
-  /// Single attempt on the second fork, per the release-and-retry scheme.
+  /// Single attempt on the second fork (Cond first where the row says so).
   bool try_second(ForkId g) {
-    if (s_.kind == Kind::kGdp2c && !books(g).cond_holds(slot_of(g))) return false;
+    if (!ticket_ && s_.row->cond_on_second && !books(g).cond_holds(slot_of(g))) return false;
     return fork(g).try_take(id_);
   }
 
-  /// Hold-and-wait spin for the ordered/ticket baselines.
+  /// Hold-and-wait spin on the second fork (hold_second rows and ticket).
   bool wait_second(ForkId g) {
     for (std::uint32_t spins = 0;; ++spins) {
       if (stopped()) return false;
-      if (fork(g).try_take(id_)) return true;
+      if (try_second(g)) return true;
       if ((spins & 0x3ff) == 0x3ff) std::this_thread::yield();
       cpu_relax();
     }
@@ -207,11 +192,12 @@ class Worker {
       const ForkId g = side == Side::kLeft ? right_ : left_;
       if (!take_first(f)) return false;
 
-      if (is_gdp(s_.kind) && fork(f).nr() == fork(g).nr()) {
+      if (!ticket_ && s_.row->first == algos::FirstFork::kHigherNr &&
+          fork(f).nr() == fork(g).nr()) {
         fork(f).set_nr(id_, static_cast<std::uint16_t>(rng_.uniform_int(1, s_.m)));
       }
 
-      if (s_.kind == Kind::kOrdered || s_.kind == Kind::kTicket) {
+      if (ticket_ || s_.row->hold_second) {
         if (!wait_second(g)) {
           fork(f).release(id_);
           return false;
@@ -265,7 +251,7 @@ class Worker {
   }
 
   void cleanup_requests() {
-    if (!uses_books(s_.kind)) return;
+    if (!courteous_) return;
     books(left_).remove_request(slot_left_);
     books(right_).remove_request(slot_right_);
   }
@@ -276,6 +262,7 @@ class Worker {
   WorkerOutput& out_;
   const ForkId left_, right_;
   const int slot_left_, slot_right_;
+  const bool ticket_, courteous_;
 };
 
 double quantile_ns(std::vector<std::uint64_t>& all, double q) {
@@ -292,7 +279,10 @@ bool RuntimeResult::everyone_ate() const {
 }
 
 std::vector<std::string> runtime_algorithms() {
-  return {"lr1", "lr2", "gdp1", "gdp2", "gdp2c", "ordered", "ticket"};
+  std::vector<std::string> names;
+  for (const algos::TwoForkVariant& v : algos::two_fork_variants()) names.emplace_back(v.name);
+  names.emplace_back("ticket");
+  return names;
 }
 
 RuntimeResult run_threads(const graph::Topology& t, const RuntimeConfig& config) {
@@ -300,9 +290,11 @@ RuntimeResult run_threads(const graph::Topology& t, const RuntimeConfig& config)
                 "run_threads needs a duration or a meal target");
 
   Shared shared(t);
-  shared.kind = parse_kind(config.algorithm);
-  GDP_CHECK_MSG(shared.kind != Kind::kTicket || config.duration.count() > 0 ||
-                    is_classic_ring(t),
+  shared.row = algos::find_two_fork(config.algorithm);
+  const bool ticket = config.algorithm == "ticket";
+  GDP_CHECK_MSG(shared.row != nullptr || ticket,
+                "run_threads: unsupported algorithm '" << config.algorithm << "'");
+  GDP_CHECK_MSG(!ticket || config.duration.count() > 0 || is_classic_ring(t),
                 "run_threads: ticket may deadlock off the classic ring, so a meal target "
                 "alone may never be reached; set a duration");
   // The same preconditions as the simulated algorithm of that name: p_left
@@ -320,7 +312,7 @@ RuntimeResult run_threads(const graph::Topology& t, const RuntimeConfig& config)
   for (ForkId f = 0; f < t.num_forks(); ++f) {
     shared.forks.emplace_back();
     shared.eaters_canary.emplace_back(0);
-    shared.books.push_back(uses_books(shared.kind)
+    shared.books.push_back(shared.row != nullptr && shared.row->courteous
                                ? std::make_unique<ForkBooks>(t.degree(f))
                                : nullptr);
   }

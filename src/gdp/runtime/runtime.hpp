@@ -3,8 +3,10 @@
 // algorithms are not simulation artifacts and measures throughput /
 // latency / fairness at hardware speed (experiment E12).
 //
-// Supported algorithms: lr1, lr2, gdp1, gdp2, gdp2c, ordered, ticket.
-// (colored and arbiter are simulation-only baselines.) ticket is
+// Supported algorithms: every two-fork program (lr1, lr2, gdp1, gdp2,
+// gdp2c, ordered, colored; the workers read their algos/two_fork.hpp table
+// row) and ticket. arbiter is a simulation-only baseline. colored runs on
+// even classic rings only, as its validate() demands. ticket is
 // deadlock-free only on the classic ring (algos/ticket.hpp): off the ring
 // its philosophers can close a circular wait, so a run may end on its
 // duration with few meals, and a duration is required there.

@@ -1,8 +1,8 @@
 // The quantitative checker's contract: sound certified intervals on
 // hand-computed MDPs, interval-iteration bracket invariants, bit-identical
 // results at every thread count, refusal to certify truncated models, and
-// agreement with the qualitative fair-EC verdicts and the uniform-chain
-// numbers on the paper's instances.
+// agreement with the qualitative fair-EC verdicts and the uniform
+// scheduler's chain (analyze_uniform) on the paper's instances.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -13,7 +13,6 @@
 
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/graph/builders.hpp"
-#include "gdp/mdp/chain_analysis.hpp"
 #include "gdp/mdp/fair_progress.hpp"
 #include "gdp/mdp/model.hpp"
 #include "gdp/mdp/quant/quant.hpp"
@@ -162,6 +161,22 @@ TEST(QuantHand, SubsetTargetMask) {
   expect_point(p1.p_max, 1.0);
 }
 
+// One action of 25 float outcomes of 1.0f/25 into a meal: the stored mass
+// sums to 0.99999998, so the numeric Pmax bracket ends just short of 1. No
+// fair trap exists and the model is complete, so every probability is 1
+// qualitatively and the first meal takes exactly one step; a bracket a few
+// ulps short of 1 must not certify an infinite e_min (min above max).
+TEST(QuantHand, FloatMassShortOfOneStaysFinite) {
+  const std::vector<Outcome> to_meal(25, Outcome{1.0f / 25, 1});
+  const Model m = hand_model(1, {to_meal, {{1.0f, 1}}}, {0, 1});
+  const QuantResult r = analyze(m);
+  EXPECT_EQ(r.certainty, Certainty::kCertified) << r.summary();
+  EXPECT_EQ(r.p_min, (Interval{1.0, 1.0}));
+  EXPECT_EQ(r.p_max, (Interval{1.0, 1.0}));
+  EXPECT_EQ(r.e_min, (Interval{1.0, 1.0})) << r.summary();
+  expect_point(r.e_max, 1.0);
+}
+
 // --- Truncated-model refusal. ----------------------------------------------
 
 TEST(QuantTruncated, NeverClaimsCertainty) {
@@ -247,16 +262,19 @@ TEST(QuantDeterminism, BitIdenticalAcrossThreadCounts) {
   struct Case {
     const char* algo;
     graph::Topology t;
+    bool uniform = false;  // analyze_uniform instead of analyze
   };
-  // gdp2 on parallel(4) has a 99,328-node quotient, past the inline
-  // cutoff, so its sweeps and residual reductions run on the pool at
-  // threads > 1; the small models pin the inline path.
+  // gdp2 on parallel(4) has a 99,328-node quotient and gdp2c's uniform
+  // chain on ring(3) spans 166,589 states, both past the inline cutoff, so
+  // their quotient builds, sweeps and residual reductions run on the pool
+  // at threads > 1; the small models pin the inline path.
   const Case cases[] = {{"lr1", graph::classic_ring(3)},
                         {"lr1", graph::parallel_arcs(3)},
                         {"gdp1", graph::classic_ring(3)},
-                        {"gdp2", graph::parallel_arcs(4)}};
+                        {"gdp2", graph::parallel_arcs(4)},
+                        {"gdp2c", graph::classic_ring(3), true}};
   for (const Case& c : cases) {
-    SCOPED_TRACE(std::string(c.algo) + " on " + c.t.name());
+    SCOPED_TRACE(std::string(c.algo) + " on " + c.t.name() + (c.uniform ? " (uniform)" : ""));
     const auto algo = algos::make_algorithm(c.algo);
     const Model m = explore(*algo, c.t);
     QuantResult base;
@@ -265,8 +283,9 @@ TEST(QuantDeterminism, BitIdenticalAcrossThreadCounts) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       QuantOptions opts;
       opts.threads = threads;
-      const QuantResult r = analyze(m, ~std::uint64_t{0}, opts);
-      if (std::string(c.algo) == "gdp2") {
+      const QuantResult r =
+          c.uniform ? analyze_uniform(m, opts) : analyze(m, ~std::uint64_t{0}, opts);
+      if (std::string(c.algo) == "gdp2" || c.uniform) {
         EXPECT_GE(r.num_quotient_nodes, detail::kInlineNodes);
       }
       if (have_base) {
@@ -343,10 +362,11 @@ TEST(QuantMatrix, TicketFig1a) { expect_quant_matches_verdict("ticket", graph::f
 TEST(QuantMatrix, Gdp2Ring3) { expect_quant_matches_verdict("gdp2", graph::classic_ring(3)); }
 TEST(QuantMatrix, Lr2Ring4) { expect_quant_matches_verdict("lr2", graph::classic_ring(4)); }
 
-// --- Consistency with the uniform-chain analysis (the satellite bugnet):
-// the uniform scheduler is one fair adversary, so its reach probability
-// must lie inside [Pmin, Pmax], and the qualitative verdict must match the
-// quantitative certificate on every instance of the cross-check matrix. ---
+// --- Consistency with the uniform scheduler's chain: the uniform scheduler
+// is one fair adversary, so its certified reach probability must overlap
+// [Pmin, Pmax] and its expected first-meal time cannot beat e_min, and the
+// qualitative verdict must match the quantitative certificate on every
+// instance of the cross-check matrix. ---
 
 void expect_chain_inside_bounds(const std::string& algo_name, const graph::Topology& t,
                                 std::size_t max_states) {
@@ -367,13 +387,13 @@ void expect_chain_inside_bounds(const std::string& algo_name, const graph::Topol
   }
   ASSERT_EQ(r.certainty, Certainty::kCertified);
 
-  const ChainAnalysis chain = analyze_uniform_chain(m);
-  EXPECT_GE(chain.p_reach, r.p_min.lower - 1e-5);
-  EXPECT_LE(chain.p_reach, r.p_max.upper + 1e-5);
-  if (chain.expected_converged) {
-    // Every counted uniform step is also counted by e_min.
-    EXPECT_GE(chain.expected_steps, r.e_min.lower - 1e-5);
-  }
+  const QuantResult uniform = analyze_uniform(m, opts);
+  ASSERT_EQ(uniform.certainty, Certainty::kCertified);
+  EXPECT_NEAR(uniform.p_min.lower, uniform.p_max.lower, opts.epsilon);  // one adversary
+  EXPECT_GE(uniform.p_max.upper, r.p_min.lower);
+  EXPECT_LE(uniform.p_min.lower, r.p_max.upper);
+  // Every counted uniform step is also counted by e_min.
+  EXPECT_GE(uniform.e_min.upper, r.e_min.lower);
 
   const FairProgressResult verdict = check_fair_progress(m);
   if (verdict.verdict == Verdict::kProgressCertain) {

@@ -2,6 +2,8 @@
 // conditions, algorithm coverage.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "gdp/common/check.hpp"
 #include "gdp/graph/builders.hpp"
 #include "gdp/runtime/atomic_fork.hpp"
@@ -56,6 +58,17 @@ TEST_P(RuntimeAlgorithms, MealsAndMutualExclusionOnFig1a) {
   cfg.algorithm = GetParam();
   cfg.target_meals = 2'000;
   cfg.duration = std::chrono::milliseconds(5'000);  // safety net
+  if (GetParam() == "colored") {
+    // Alternating colors need an even classic ring: colored's validate(),
+    // not an unsupported-name check, refuses fig1a.
+    try {
+      run_threads(graph::fig1a(), cfg);
+      ADD_FAILURE() << "colored ran on fig1a";
+    } catch (const PreconditionError& e) {
+      EXPECT_NE(std::string(e.what()).find("colored needs"), std::string::npos) << e.what();
+    }
+    return;
+  }
   const auto r = run_threads(graph::fig1a(), cfg);
   EXPECT_EQ(r.exclusion_violations, 0u);
   if (GetParam() == "ticket") {
@@ -81,7 +94,7 @@ TEST_P(RuntimeAlgorithms, RingRunsClean) {
 
 INSTANTIATE_TEST_SUITE_P(All, RuntimeAlgorithms,
                          ::testing::Values("lr1", "lr2", "gdp1", "gdp2", "gdp2c", "ordered",
-                                           "ticket"),
+                                           "colored", "ticket"),
                          [](const auto& info) { return info.param; });
 
 TEST(Runtime, CourteousVariantFeedsEveryone) {
@@ -116,9 +129,11 @@ TEST(Runtime, LatencyPercentilesOrdered) {
 
 TEST(Runtime, RejectsBadConfigs) {
   RuntimeConfig cfg;
-  cfg.algorithm = "colored";  // simulation-only baseline
+  cfg.algorithm = "arbiter";  // simulation-only baseline
   cfg.target_meals = 10;
   EXPECT_THROW(run_threads(graph::classic_ring(4), cfg), PreconditionError);
+  cfg.algorithm = "colored";  // alternating colors need an even ring
+  EXPECT_THROW(run_threads(graph::classic_ring(5), cfg), PreconditionError);
 
   RuntimeConfig none;
   none.algorithm = "gdp1";
