@@ -9,7 +9,8 @@
 #        ./ci.sh bench-smoke       — build bench_thm2_theta, run its store
 #                                    section with GDP_OBS=1 and validate the
 #                                    emitted BENCH_thm2_theta.json against
-#                                    the obs run-report schema; then rerun it
+#                                    the obs run-report schema (the explore
+#                                    footprint gauges must be non-zero); then rerun it
 #                                    with the timeline plane and heartbeats on
 #                                    (GDP_OBS_TIMELINE / GDP_OBS_PROGRESS) and
 #                                    validate TRACE_thm2_theta.json plus the
@@ -61,7 +62,7 @@ fi
 # settling) run under TSan too; test_chain's lr2/parallel(3) (17,186
 # states) does the same for the uniform view's quotient build and e_min
 # sweeps. The one list feeds both the build targets and the ctest selection.
-TSAN_SUITES=(test_pool test_mdp_par test_explore_oracle test_exp test_key test_quant test_chain
+TSAN_SUITES=(test_pool test_grow_array test_mdp_par test_explore_oracle test_exp test_key test_quant test_chain
              test_store test_obs)
 
 tsan_pass() {

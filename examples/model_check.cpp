@@ -6,6 +6,8 @@
 //   $ ./model_check [algorithm] [topology] [max_states] [threads]
 //
 // Topologies: ring3 ring4 parallel3 parallel4 fig1a pendant3 chord4 theta112
+#include <sys/resource.h>
+
 #include <cstdio>
 #include <optional>
 #include <string>
@@ -37,6 +39,17 @@ std::optional<graph::Topology> by_name(const std::string& name) {
   if (name == "chord4") return graph::ring_with_chord(4);
   if (name == "theta112") return graph::theta(1, 1, 2);
   return std::nullopt;
+}
+
+/// Explore's bytes per state at the process's peak RSS so far, on stderr:
+/// the golden diff reads stdout, and peak RSS differs run to run. GDP_OBS=1
+/// splits the footprint by structure (the explore.*_bytes_peak gauges).
+void print_explore_footprint(const mdp::Model& model) {
+  struct rusage usage {};
+  ::getrusage(RUSAGE_SELF, &usage);
+  std::fprintf(stderr, "explore footprint: %.1f B/state at peak RSS\n",
+               static_cast<double>(usage.ru_maxrss) * 1024.0 /
+                   static_cast<double>(model.num_states()));
 }
 
 }  // namespace
@@ -74,6 +87,7 @@ int main(int argc, char** argv) {
   const auto model = mdp::explore_indexed(*algo, t, index, opts);
   std::printf("explored %zu states (%zu state-action rows)%s\n", model.num_states(),
               model.num_rows(), model.truncated() ? " [TRUNCATED]" : "");
+  print_explore_footprint(model);
 
   // Certified two-sided bounds over every fair adversary (interval
   // iteration on the MEC quotient; see gdp/mdp/quant/quant.hpp). The

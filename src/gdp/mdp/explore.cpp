@@ -8,8 +8,8 @@
 
 namespace gdp::mdp {
 
-Model Model::build(int num_phils, std::vector<std::uint64_t> offsets,
-                   std::vector<Outcome> outcomes, std::vector<std::uint64_t> eaters,
+Model Model::build(int num_phils, common::GrowArray<std::uint64_t> offsets,
+                   common::GrowArray<Outcome> outcomes, common::GrowArray<std::uint64_t> eaters,
                    std::vector<bool> frontier, bool truncated) {
   GDP_CHECK_MSG(num_phils > 0, "Model::build needs at least one philosopher");
   GDP_CHECK_MSG(num_phils <= 64,
@@ -22,7 +22,7 @@ Model Model::build(int num_phils, std::vector<std::uint64_t> offsets,
   GDP_CHECK_MSG(offsets.size() == n * static_cast<std::size_t>(num_phils) + 1,
                 "Model::build: offsets must have num_states * num_phils + 1 entries, got "
                     << offsets.size());
-  GDP_CHECK_MSG(offsets.front() == 0 && offsets.back() == outcomes.size(),
+  GDP_CHECK_MSG(offsets[0] == 0 && offsets.back() == outcomes.size(),
                 "Model::build: offsets must start at 0 and end at outcomes.size()");
   for (std::size_t r = 0; r + 1 < offsets.size(); ++r) {
     GDP_CHECK_MSG(offsets[r] <= offsets[r + 1], "Model::build: offsets not monotone at row " << r);
@@ -62,6 +62,15 @@ Model Model::build(int num_phils, std::vector<std::uint64_t> offsets,
   model.frontier_ = std::move(frontier);
   model.truncated_ = truncated;
   return model;
+}
+
+Model Model::build(int num_phils, const std::vector<std::uint64_t>& offsets,
+                   const std::vector<Outcome>& outcomes, const std::vector<std::uint64_t>& eaters,
+                   std::vector<bool> frontier, bool truncated) {
+  return build(num_phils, common::GrowArray<std::uint64_t>(offsets.data(), offsets.size()),
+               common::GrowArray<Outcome>(outcomes.data(), outcomes.size()),
+               common::GrowArray<std::uint64_t>(eaters.data(), eaters.size()), std::move(frontier),
+               truncated);
 }
 
 Model explore(const algos::Algorithm& algo, const graph::Topology& t, CheckOptions options) {

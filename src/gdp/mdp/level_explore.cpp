@@ -19,27 +19,30 @@ namespace {
 /// phases run.
 constexpr std::size_t kParallelInternMin = 65'536;
 
-/// Parallel intern phases split a level's states into at most this many
-/// contiguous blocks (the counting sort's histograms, the prefix scan).
-constexpr std::size_t kMaxBlocks = 256;
+/// Parallel intern phases split a level's expansion blocks into at most
+/// this many contiguous groups (the counting sort's histograms, the prefix
+/// scan).
+constexpr std::size_t kMaxGroups = 256;
 
-/// States per expansion block: each block decodes into one state and steps
-/// through one scratch, so their set-up is paid once per block. Ids never
-/// depend on it — each state writes only its own Expansion.
+/// States per expansion block. Each block records into one Expansion,
+/// decodes into one state and steps through one scratch, so their set-up is
+/// paid once per block. Ids never depend on it: a block's successors keep
+/// their (state, philosopher, branch) order.
 constexpr std::size_t kExpandGrain = 64;
 
 constexpr std::size_t kShards = StateIndex::kShards;
 constexpr std::uint32_t kPendingTag = StateIndex::kPendingTag;
 
-/// One state's expansion, recorded by the parallel phase of a level.
-/// Successor keys are flat key_words()-stride word runs, not PackedKeys, so
-/// a worker's output is a handful of contiguous vectors.
+/// One expansion block's successors (up to kExpandGrain consecutive states
+/// of a level), recorded by the parallel phase in (state, philosopher,
+/// branch) order: successor j of block b sits at level position
+/// block_pos[b] + j. Successor keys are flat key_words()-stride word runs.
 struct Expansion {
   std::vector<std::uint64_t> succ_words;   // key_words() words per successor
   std::vector<std::uint64_t> succ_hashes;  // hash_key_words per successor
   std::vector<std::uint64_t> succ_eaters;  // eater mask per successor
   std::vector<float> probs;                // probability per successor
-  std::vector<std::uint32_t> row_ends;     // per philosopher, end in probs
+  std::vector<std::uint32_t> row_ends;     // per (local state, philosopher): end in probs
 
   void clear() {
     succ_words.clear();
@@ -47,6 +50,12 @@ struct Expansion {
     succ_eaters.clear();
     probs.clear();
     row_ends.clear();
+  }
+
+  /// Bytes the recorded successors take (sizes, not capacities).
+  std::size_t bytes() const {
+    return (succ_words.size() + succ_hashes.size() + succ_eaters.size()) * sizeof(std::uint64_t) +
+           probs.size() * sizeof(float) + row_ends.size() * sizeof(std::uint32_t);
   }
 };
 
@@ -61,13 +70,24 @@ struct ShardEntry {
 /// Per-level working storage, kept across the levels of one run() so the
 /// buffers are allocated once at the widest level's size.
 struct LevelScratch {
-  std::vector<Expansion> level;            // per state of the level
-  std::vector<std::size_t> first_pos;      // per state: its first level position
-  std::vector<std::uint64_t> level_keys;   // successor keys in position order
-  std::vector<ShardEntry> order;           // positions by shard, ascending in each
-  std::vector<std::uint32_t> resolved;     // position -> id or kPendingTag | position
-  std::vector<std::size_t> cursors;        // (block, shard) counts, then scatter cursors
-  std::vector<std::size_t> block_ids;      // per block: first new id it assigns
+  std::vector<Expansion> blocks;          // per expansion block of the level
+  std::vector<std::size_t> block_pos;     // per block: its first level position; then the total
+  std::vector<std::uint64_t> level_keys;  // successor keys in position order
+  std::vector<ShardEntry> order;          // positions by shard, ascending in each
+  std::vector<std::uint32_t> resolved;    // position -> id or kPendingTag | position
+  std::vector<std::size_t> cursors;       // (group, shard) counts, then scatter cursors
+  std::vector<std::size_t> group_ids;     // per group: first new id it assigns
+
+  /// The level's footprint in the arrays whose sizes are functions of the
+  /// level alone (cursors and group_ids scale with the thread count, and
+  /// are a few kilobytes).
+  std::size_t level_bytes(std::size_t num_blocks) const {
+    std::size_t bytes = block_pos.size() * sizeof(std::size_t) +
+                        level_keys.size() * sizeof(std::uint64_t) +
+                        order.size() * sizeof(ShardEntry) + resolved.size() * sizeof(std::uint32_t);
+    for (std::size_t b = 0; b < num_blocks; ++b) bytes += blocks[b].bytes();
+    return bytes;
+  }
 };
 
 LevelExplorer::LevelExplorer(const algos::Algorithm& algo, const graph::Topology& t)
@@ -92,16 +112,20 @@ void LevelExplorer::run(std::size_t max_states, int threads) {
   const std::size_t kw = codec_.key_words();
   truncated_ = false;
 
-  // Deterministic plane: levels, states, edges and the per-level size
-  // distribution are pure functions of (algorithm, topology, max_states) —
-  // the level structure never depends on the thread count. The run span is
-  // wall clock (timing plane).
+  // Deterministic plane: levels, states, edges, the per-level size
+  // distribution and the footprint gauges are pure functions of
+  // (algorithm, topology, max_states) — the level structure never depends
+  // on the thread count. The run span is wall clock (timing plane).
   static obs::Counter& levels_ctr = obs::Registry::global().counter("explore.levels");
   static obs::Counter& states_ctr = obs::Registry::global().counter("explore.states");
   static obs::Counter& edges_ctr = obs::Registry::global().counter("explore.edges");
   static obs::Counter& truncations_ctr = obs::Registry::global().counter("explore.truncations");
   static obs::Histogram& level_states = obs::Registry::global().histogram("explore.level_states");
   static obs::Gauge& intern_bytes = obs::Registry::global().gauge("explore.intern_bytes_peak");
+  static obs::Gauge& level_bytes = obs::Registry::global().gauge("explore.level_scratch_bytes_peak");
+  static obs::Gauge& row_bytes = obs::Registry::global().gauge("explore.row_bytes_peak");
+  static obs::Gauge& key_bytes = obs::Registry::global().gauge("explore.key_bytes_peak");
+  static obs::Gauge& slot_bytes = obs::Registry::global().gauge("explore.slot_bytes_peak");
   obs::Span run_span("explore.run");
 
   LevelScratch scratch;
@@ -116,45 +140,50 @@ void LevelExplorer::run(std::size_t max_states, int threads) {
     }
     const std::size_t begin = num_expanded_;
     const std::size_t count = index_.size() - begin;
+    const std::size_t num_blocks = (count + kExpandGrain - 1) / kExpandGrain;
     const std::size_t level_edges_before = outcomes_.size();
     obs::Span level_span("explore.level");
 
-    // Parallel phase: expand each state of the level into its own buffer.
-    // Workers read shared immutable state and write only their task's slot.
-    // Each block of states decodes into one state and steps through one
-    // scratch, so successors are encoded straight off the scratch and no
-    // branch touches the allocator once the two have the layout's shape.
-    if (scratch.level.size() < count) scratch.level.resize(count);
+    // Parallel phase: expand each block of states into its own buffer.
+    // Workers read shared immutable state and write only their block's
+    // Expansion: one task per expansion block, so every block of the level
+    // is cleared and refilled whether the blocks run on the pool or inline.
+    // Each block decodes into one state and steps through one scratch, so
+    // successors are encoded straight off the scratch and no branch touches
+    // the allocator once the two have the layout's shape.
+    if (scratch.blocks.size() < num_blocks) scratch.blocks.resize(num_blocks);
     {
       obs::Span expand_span("explore.expand");
-      common::parallel_for(count, kExpandGrain, threads, [&](std::size_t lo, std::size_t hi) {
+      common::parallel_for(num_blocks, threads, [&](std::uint32_t b) {
         sim::SimState state;
         sim::SimState next;
-        Expansion* e = nullptr;
+        Expansion& e = scratch.blocks[b];
+        e.clear();
         algos::SinkFn record([&](double prob, const sim::StepEvent&, const sim::SimState& succ) {
-          const std::size_t at = e->succ_words.size();
-          e->succ_words.resize(at + kw);
-          std::uint64_t* w = e->succ_words.data() + at;
+          const std::size_t at = e.succ_words.size();
+          e.succ_words.resize(at + kw);
+          std::uint64_t* w = e.succ_words.data() + at;
           codec_.encode(succ, w);
-          e->succ_hashes.push_back(hash_key_words(w, kw));
-          e->succ_eaters.push_back(sim::eater_mask(succ));
-          e->probs.push_back(static_cast<float>(prob));
+          e.succ_hashes.push_back(hash_key_words(w, kw));
+          e.succ_eaters.push_back(sim::eater_mask(succ));
+          e.probs.push_back(static_cast<float>(prob));
         });
+        const std::size_t lo = b * kExpandGrain;
+        const std::size_t hi = std::min(count, lo + kExpandGrain);
         for (std::size_t i = lo; i < hi; ++i) {
           codec_.decode(index_.key(static_cast<StateId>(begin + i)), state);
-          e = &scratch.level[i];
-          e->clear();
           for (PhilId p = 0; p < n; ++p) {
             algo_.step(topology_, state, p, next, record);
-            e->row_ends.push_back(static_cast<std::uint32_t>(e->probs.size()));
+            e.row_ends.push_back(static_cast<std::uint32_t>(e.probs.size()));
           }
         }
       });
     }
     {
       obs::Span intern_span("explore.intern");
-      intern_level(scratch, begin, count, threads);
+      intern_level(scratch, count, threads);
     }
+    level_bytes.set_max(scratch.level_bytes(num_blocks));
 
     levels_ctr.increment();
     // Per-level deltas (not one end-of-run add) so a GDP_OBS_PROGRESS
@@ -168,72 +197,77 @@ void LevelExplorer::run(std::size_t max_states, int threads) {
     obs::timeline::counter_sample("explore.edges", static_cast<double>(outcomes_.size()));
   }
 
-  // Interner footprint: the flat keys plus the shard slots over them. Both
-  // are functions of the level structure alone, so the gauge stays on the
-  // deterministic plane.
+  // Footprint by structure, in sizes (never capacities), so every gauge is
+  // a function of the level structure alone: the rows (outcomes, row ends
+  // and eater masks), the interner's flat keys and shard slots, and their
+  // sum as before.
+  row_bytes.set_max(outcomes_.size() * sizeof(Outcome) +
+                    (row_ends_.size() + eaters_.size()) * sizeof(std::uint64_t));
+  key_bytes.set_max(index_.key_bytes());
+  slot_bytes.set_max(index_.slot_bytes());
   intern_bytes.set_max(index_.key_bytes() + index_.slot_bytes());
 }
 
-void LevelExplorer::intern_level(LevelScratch& sc, std::size_t begin, std::size_t count,
-                                 int threads) {
+void LevelExplorer::intern_level(LevelScratch& sc, std::size_t count, int threads) {
   const std::size_t n = static_cast<std::size_t>(topology_.num_phils());
   const std::size_t kw = codec_.key_words();
+  const std::size_t num_blocks = (count + kExpandGrain - 1) / kExpandGrain;
 
-  // Level positions: successor j of the level's state i sits at
-  // first_pos[i] + j — its index in the (state, philosopher, branch) order
+  // Level positions: successor j of expansion block b sits at
+  // block_pos[b] + j — its index in the (state, philosopher, branch) order
   // the outcome rows store successors in.
-  sc.first_pos.resize(count + 1);
-  sc.first_pos[0] = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    sc.first_pos[i + 1] = sc.first_pos[i] + sc.level[i].probs.size();
+  sc.block_pos.resize(num_blocks + 1);
+  sc.block_pos[0] = 0;
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    sc.block_pos[b + 1] = sc.block_pos[b] + sc.blocks[b].probs.size();
   }
-  const std::size_t total = sc.first_pos[count];
+  const std::size_t total = sc.block_pos[num_blocks];
   GDP_CHECK_MSG(total < kPendingTag,
                 "explore: a level with " << total << " successors exceeds the 2^31 position range");
   const int t = total < kParallelInternMin ? 1 : threads;
 
-  // Contiguous state blocks (one when inline); ids never depend on the
-  // split.
-  const std::size_t blocks = t == 1 ? 1 : std::min(count, kMaxBlocks);
-  const auto block_begin = [&](std::size_t b) { return count * b / blocks; };
+  // Contiguous groups of expansion blocks (one when inline); ids never
+  // depend on the split.
+  const std::size_t groups = t == 1 ? 1 : std::min(num_blocks, kMaxGroups);
+  const auto group_begin = [&](std::size_t g) { return num_blocks * g / groups; };
 
   // Gather the successor keys into position order and histogram each
-  // block's successors by shard.
+  // group's successors by shard.
   sc.level_keys.resize(total * kw);
-  sc.cursors.assign(blocks * kShards, 0);
-  common::parallel_for(blocks, t, [&](std::uint32_t b) {
-    std::size_t* hist = sc.cursors.data() + b * kShards;
-    for (std::size_t i = block_begin(b); i < block_begin(b + 1); ++i) {
-      const Expansion& e = sc.level[i];
+  sc.cursors.assign(groups * kShards, 0);
+  common::parallel_for(groups, t, [&](std::uint32_t g) {
+    std::size_t* hist = sc.cursors.data() + g * kShards;
+    for (std::size_t b = group_begin(g); b < group_begin(g + 1); ++b) {
+      const Expansion& e = sc.blocks[b];
       std::copy(e.succ_words.begin(), e.succ_words.end(),
-                sc.level_keys.begin() + static_cast<std::ptrdiff_t>(sc.first_pos[i] * kw));
+                sc.level_keys.begin() + static_cast<std::ptrdiff_t>(sc.block_pos[b] * kw));
       for (const std::uint64_t h : e.succ_hashes) ++hist[StateIndex::shard_of(h)];
     }
   });
 
-  // Stable counting sort: shard-major, block-minor exclusive scan turns the
+  // Stable counting sort: shard-major, group-minor exclusive scan turns the
   // histograms into scatter cursors, so each shard lists its positions in
   // ascending order.
   std::array<std::size_t, kShards + 1> shard_begin{};
   std::size_t acc = 0;
   for (std::size_t s = 0; s < kShards; ++s) {
     shard_begin[s] = acc;
-    for (std::size_t b = 0; b < blocks; ++b) {
-      const std::size_t c = sc.cursors[b * kShards + s];
-      sc.cursors[b * kShards + s] = acc;
+    for (std::size_t g = 0; g < groups; ++g) {
+      const std::size_t c = sc.cursors[g * kShards + s];
+      sc.cursors[g * kShards + s] = acc;
       acc += c;
     }
   }
   shard_begin[kShards] = acc;
   sc.order.resize(total);
-  common::parallel_for(blocks, t, [&](std::uint32_t b) {
-    std::size_t* cursor = sc.cursors.data() + b * kShards;
-    for (std::size_t i = block_begin(b); i < block_begin(b + 1); ++i) {
-      const Expansion& e = sc.level[i];
+  common::parallel_for(groups, t, [&](std::uint32_t g) {
+    std::size_t* cursor = sc.cursors.data() + g * kShards;
+    for (std::size_t b = group_begin(g); b < group_begin(g + 1); ++b) {
+      const Expansion& e = sc.blocks[b];
       for (std::size_t j = 0; j < e.succ_hashes.size(); ++j) {
         const std::uint64_t h = e.succ_hashes[j];
         sc.order[cursor[StateIndex::shard_of(h)]++] =
-            ShardEntry{h, static_cast<std::uint32_t>(sc.first_pos[i] + j)};
+            ShardEntry{h, static_cast<std::uint32_t>(sc.block_pos[b] + j)};
       }
     }
   });
@@ -255,39 +289,41 @@ void LevelExplorer::intern_level(LevelScratch& sc, std::size_t begin, std::size_
   const auto is_first = [&](std::size_t pos) {
     return sc.resolved[pos] == (kPendingTag | static_cast<std::uint32_t>(pos));
   };
-  sc.block_ids.assign(blocks + 1, 0);
-  common::parallel_for(blocks, t, [&](std::uint32_t b) {
+  sc.group_ids.assign(groups + 1, 0);
+  common::parallel_for(groups, t, [&](std::uint32_t g) {
     std::size_t firsts = 0;
-    for (std::size_t pos = sc.first_pos[block_begin(b)]; pos < sc.first_pos[block_begin(b + 1)];
+    for (std::size_t pos = sc.block_pos[group_begin(g)]; pos < sc.block_pos[group_begin(g + 1)];
          ++pos) {
       firsts += is_first(pos) ? 1 : 0;
     }
-    sc.block_ids[b + 1] = firsts;
+    sc.group_ids[g + 1] = firsts;
   });
   const std::size_t first_new = index_.size();
-  sc.block_ids[0] = first_new;
-  for (std::size_t b = 0; b < blocks; ++b) sc.block_ids[b + 1] += sc.block_ids[b];
-  const std::size_t num_new = sc.block_ids[blocks] - first_new;
+  sc.group_ids[0] = first_new;
+  for (std::size_t g = 0; g < groups; ++g) sc.group_ids[g + 1] += sc.group_ids[g];
+  const std::size_t num_new = sc.group_ids[groups] - first_new;
 
-  std::uint64_t* new_keys = index_.append(num_new);
-  eaters_.resize(first_new + num_new);
+  // The id-ordered arrays grow by this level's tails, left unwritten: the
+  // passes below write every element of them.
+  std::uint64_t* const new_keys = index_.append(num_new);
+  std::uint64_t* const new_eaters = eaters_.grow(num_new);
   const std::size_t out_base = outcomes_.size();
-  outcomes_.resize(out_base + total);
-  row_ends_.resize(row_ends_.size() + count * n);
+  Outcome* const rows = outcomes_.grow(total);
+  std::uint64_t* const row_ends = row_ends_.grow(count * n);
 
   // First occurrences take their ids: resolved[pos] becomes the id, and
   // the key and eater mask land in the id-ordered arrays.
-  common::parallel_for(blocks, t, [&](std::uint32_t b) {
-    std::size_t id = sc.block_ids[b];
-    for (std::size_t i = block_begin(b); i < block_begin(b + 1); ++i) {
-      const Expansion& e = sc.level[i];
+  common::parallel_for(groups, t, [&](std::uint32_t g) {
+    std::size_t id = sc.group_ids[g];
+    for (std::size_t b = group_begin(g); b < group_begin(g + 1); ++b) {
+      const Expansion& e = sc.blocks[b];
       for (std::size_t j = 0; j < e.probs.size(); ++j) {
-        const std::size_t pos = sc.first_pos[i] + j;
+        const std::size_t pos = sc.block_pos[b] + j;
         if (!is_first(pos)) continue;
         sc.resolved[pos] = static_cast<std::uint32_t>(id);
         std::copy_n(sc.level_keys.begin() + static_cast<std::ptrdiff_t>(pos * kw), kw,
                     new_keys + (id - first_new) * kw);
-        eaters_[id] = e.succ_eaters[j];
+        new_eaters[id - first_new] = e.succ_eaters[j];
         ++id;
       }
     }
@@ -295,23 +331,22 @@ void LevelExplorer::intern_level(LevelScratch& sc, std::size_t begin, std::size_
 
   // Rows in (state, philosopher, branch) order at their precomputed
   // ranges, and — in the remaining tasks — every shard's pending slots
-  // settled to the ids just assigned.
-  common::parallel_for(blocks + kShards, t, [&](std::uint32_t task) {
-    if (task >= blocks) {
-      index_.settle_shard(task - blocks, sc.resolved.data());
+  // settled to the ids just assigned. Level state b * kExpandGrain + i
+  // owns row ends [(b * kExpandGrain + i) * n, ... + n) of this level.
+  common::parallel_for(groups + kShards, t, [&](std::uint32_t task) {
+    if (task >= groups) {
+      index_.settle_shard(task - groups, sc.resolved.data());
       return;
     }
-    for (std::size_t i = block_begin(task); i < block_begin(task + 1); ++i) {
-      const Expansion& e = sc.level[i];
-      const std::size_t row_base = (begin + i) * n + 1;
-      for (std::size_t p = 0; p < n; ++p) {
-        row_ends_[row_base + p] = out_base + sc.first_pos[i] + e.row_ends[p];
-      }
+    for (std::size_t b = group_begin(task); b < group_begin(task + 1); ++b) {
+      const Expansion& e = sc.blocks[b];
+      const std::uint64_t base = out_base + sc.block_pos[b];
+      std::uint64_t* const block_row_ends = row_ends + b * kExpandGrain * n;
+      for (std::size_t r = 0; r < e.row_ends.size(); ++r) block_row_ends[r] = base + e.row_ends[r];
       for (std::size_t j = 0; j < e.probs.size(); ++j) {
-        const std::size_t pos = sc.first_pos[i] + j;
-        const std::uint32_t r = sc.resolved[pos];
+        const std::uint32_t r = sc.resolved[sc.block_pos[b] + j];
         const StateId id = (r & kPendingTag) != 0 ? sc.resolved[r & ~kPendingTag] : r;
-        outcomes_[out_base + pos] = Outcome{e.probs[j], id};
+        rows[sc.block_pos[b] + j] = Outcome{e.probs[j], id};
       }
     }
   });

@@ -8,11 +8,12 @@
 //
 //   1. Parallel expansion: every state of the level decodes its packed key,
 //      steps the algorithm for each philosopher, and records its successor
-//      keys/hashes/eater masks/probabilities in a per-state buffer (reused
-//      across levels). Each block of states decodes into one reused state
-//      and steps through one reused scratch (Algorithm::step's sink form);
-//      the sink encodes, hashes and eater-masks each successor straight into
-//      the state's buffer, so no branch allocates a SimState. Tasks share
+//      keys/hashes/eater masks/probabilities. States go in blocks of 64;
+//      each block records into one buffer (reused across levels, one per
+//      block rather than one per state), decodes into one reused state and
+//      steps through one reused scratch (Algorithm::step's sink form). The
+//      sink encodes, hashes and eater-masks each successor straight into
+//      the block's buffer, so no branch allocates a SimState. Tasks share
 //      nothing writable, so any schedule produces the same buffers.
 //   2. Phase-concurrent interning into the StateIndex (key.hpp). Every
 //      successor has a level position in (state, philosopher, branch)
@@ -24,7 +25,14 @@
 //      order the historical sequential explorer assigned ids in, so models
 //      keep their numbering at every thread count. Parallel passes then
 //      write the new keys and eater masks, the outcome rows, and settle the
-//      pending slots to their ids.
+//      pending slots to their ids. The intern phases address a state as
+//      (expansion block, offset in the block).
+//
+// The id-ordered arrays (eater masks, row ends, outcome rows) are
+// common::GrowArrays: a level appends to them without copying what earlier
+// levels wrote and without zero-filling the tail, and the parallel passes
+// that write the tail are the first to touch its pages. take_model() moves
+// them into the Model as they are.
 //
 // The state cap applies at LEVEL granularity: before expanding a level, if
 // num_states >= max_states the run stops with every state either fully
@@ -47,6 +55,7 @@
 
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/common/check.hpp"
+#include "gdp/common/grow_array.hpp"
 #include "gdp/graph/topology.hpp"
 #include "gdp/mdp/key.hpp"
 #include "gdp/mdp/model.hpp"
@@ -100,15 +109,17 @@ class LevelExplorer {
     }
 
     const std::size_t n = static_cast<std::size_t>(model.num_phils());
-    eaters_.resize(states);
-    for (std::size_t s = 0; s < states; ++s) eaters_[s] = model.eaters(static_cast<StateId>(s));
+    eaters_.clear();
+    std::uint64_t* const eaters = eaters_.grow(states);
+    for (std::size_t s = 0; s < states; ++s) eaters[s] = model.eaters(static_cast<StateId>(s));
     outcomes_.clear();
-    row_ends_.assign(1, 0);
+    row_ends_.clear();
     row_ends_.reserve(expanded * n + 1);
+    row_ends_.push_back(0);
     for (std::size_t s = 0; s < expanded; ++s) {
       for (std::size_t p = 0; p < n; ++p) {
         const auto [begin, end] = model.row(static_cast<StateId>(s), static_cast<int>(p));
-        outcomes_.insert(outcomes_.end(), begin, end);
+        outcomes_.append(begin, end);
         row_ends_.push_back(outcomes_.size());
       }
     }
@@ -127,16 +138,16 @@ class LevelExplorer {
   Model take_model(StateIndex* index_out = nullptr);
 
  private:
-  void intern_level(LevelScratch& scratch, std::size_t begin, std::size_t count, int threads);
+  void intern_level(LevelScratch& scratch, std::size_t count, int threads);
 
   const algos::Algorithm& algo_;
   const graph::Topology& topology_;
   KeyCodec codec_;
   StateIndex index_;                     // id <-> packed key
-  std::vector<std::uint64_t> eaters_;    // id -> eater mask
-  std::vector<std::uint64_t> row_ends_;  // Model offsets of the expanded prefix: 0, then
-                                         // (expanded id, phil) -> end in outcomes_
-  std::vector<Outcome> outcomes_;
+  common::GrowArray<std::uint64_t> eaters_;    // id -> eater mask
+  common::GrowArray<std::uint64_t> row_ends_;  // Model offsets of the expanded prefix: 0,
+                                               // then (expanded id, phil) -> end in outcomes_
+  common::GrowArray<Outcome> outcomes_;
   std::size_t num_expanded_ = 0;  // expanded states are the id prefix [0, num_expanded_)
   bool truncated_ = false;
 };

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "gdp/algos/algorithm.hpp"
+#include "gdp/common/grow_array.hpp"
 #include "gdp/graph/topology.hpp"
 
 namespace gdp::mdp {
@@ -95,19 +96,24 @@ class Model {
   /// at outcomes.size(); frontier states must have empty rows; every
   /// outcome's `next` must be a valid state id; ids must be a discovery
   /// order (see above). Throws PreconditionError on violations.
-  static Model build(int num_phils, std::vector<std::uint64_t> offsets,
-                     std::vector<Outcome> outcomes, std::vector<std::uint64_t> eaters,
+  static Model build(int num_phils, common::GrowArray<std::uint64_t> offsets,
+                     common::GrowArray<Outcome> outcomes, common::GrowArray<std::uint64_t> eaters,
+                     std::vector<bool> frontier, bool truncated = false);
+  /// The same from vectors, which are copied into the Model's storage.
+  static Model build(int num_phils, const std::vector<std::uint64_t>& offsets,
+                     const std::vector<Outcome>& outcomes, const std::vector<std::uint64_t>& eaters,
                      std::vector<bool> frontier, bool truncated = false);
 
  private:
   /// The shared level-synchronous explorer (gdp/mdp/level_explore.hpp)
-  /// builds the CSR arrays in place and re-seeds from them on resume.
+  /// builds the CSR arrays in place and moves them in. They grow level by
+  /// level without copies (gdp/common/grow_array.hpp).
   friend class detail::LevelExplorer;
 
   int num_phils_ = 0;
-  std::vector<std::uint64_t> offsets_;  // (num_states * num_phils) + 1
-  std::vector<Outcome> outcomes_;
-  std::vector<std::uint64_t> eaters_;
+  common::GrowArray<std::uint64_t> offsets_;  // (num_states * num_phils) + 1
+  common::GrowArray<Outcome> outcomes_;
+  common::GrowArray<std::uint64_t> eaters_;
   std::vector<bool> frontier_;
   bool truncated_ = false;
 };

@@ -101,7 +101,7 @@ inline double fold_max(const std::vector<double>& partial) {
 
 /// The probability of outcome `o` of `model`, read in double. This is the
 /// one place the Bellman operators read a probability (build_quotient's
-/// q.prob and iterate_time_min's accumulator), so a read-only view can
+/// q.probs table and iterate_time_min's accumulator), so a read-only view can
 /// reweight a model's outcomes without copying them: an overload for the
 /// view, found by argument-dependent lookup, replaces this default.
 /// `Model` and `ChunkedModel` read the stored float unchanged.
@@ -117,13 +117,20 @@ struct Quotient {
 
   std::vector<std::uint32_t> node_of;  // state -> node id / kGoal / kUnknown
 
-  // Node-major CSR of external actions.
-  std::vector<std::size_t> act_off;  // num_nodes + 1
-  std::vector<std::size_t> out_off;  // act_off[num_nodes] + 1
-  std::vector<double> prob;
-  std::vector<std::uint32_t> dest;  // node id / kGoal / kUnknown
+  // Node-major CSR of external actions. Offsets are 32-bit (build_quotient
+  // checks the outcome count fits). An outcome's probability is an index
+  // into `probs`, the quotient's distinct probabilities in ascending order:
+  // a model has a handful, so an outcome costs 2 + 4 bytes, not 8 + 4.
+  std::vector<std::uint32_t> act_off;  // num_nodes + 1
+  std::vector<std::uint32_t> out_off;  // act_off[num_nodes] + 1
+  std::vector<double> probs;           // distinct prob_of values, ascending
+  std::vector<std::uint16_t> prob;     // outcome -> index into probs
+  std::vector<std::uint32_t> dest;     // node id / kGoal / kUnknown
 
   bool has_actions(std::uint32_t q) const { return act_off[q + 1] > act_off[q]; }
+
+  /// The probability of outcome `o`: the prob_of double it was built from.
+  double p(std::size_t o) const { return probs[prob[o]]; }
 
   /// Nodes reachable from `initial` along quotient edges (empty when the
   /// initial state is itself a terminal).
@@ -148,6 +155,14 @@ struct Quotient {
     return seen;
   }
 };
+
+/// Inserts `v` into the ascending table `sorted` of distinct values unless
+/// it is there. The table holds a set, so it comes out the same for any
+/// split of the values into blocks, and so at every thread count.
+inline void insert_distinct(std::vector<double>& sorted, double v) {
+  const auto at = std::lower_bound(sorted.begin(), sorted.end(), v);
+  if (at == sorted.end() || *at != v) sorted.insert(at, v);
+}
 
 /// Builds the quotient over every state (all reachable: see Model). States
 /// matching `target_mask` eaters become the kGoal terminal when
@@ -195,9 +210,12 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
   }
   q.initial = q.node_of[model.initial()];
 
-  // External-action and outcome counts per state (parallel; disjoint writes).
+  // External-action and outcome counts per state (parallel; disjoint
+  // writes), and each block's distinct external-outcome probabilities.
   std::vector<std::uint32_t> act_count(n, 0), out_count(n, 0);
+  std::vector<std::vector<double>> block_probs(block_slots(n));
   common::parallel_for(n, kGrain, threads, [&](std::size_t lo, std::size_t hi) {
+    std::vector<double>& distinct = block_probs[lo / kGrain];
     for (std::size_t s = lo; s < hi; ++s) {
       if (!is_node(q.node_of[s])) continue;
       const std::uint32_t me = q.node_of[s];
@@ -215,15 +233,22 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
         }
         ++acts;
         outs += static_cast<std::uint32_t>(end - begin);
+        for (const Outcome* o = begin; o != end; ++o) insert_distinct(distinct, prob_of(model, *o));
       }
       act_count[s] = acts;
       out_count[s] = outs;
     }
   });
+  for (const std::vector<double>& distinct : block_probs) {
+    for (const double v : distinct) insert_distinct(q.probs, v);
+  }
+  GDP_CHECK_MSG(q.probs.size() <= std::size_t{1} << 16,
+                "quant: " << q.probs.size() << " distinct outcome probabilities exceed the "
+                             "quotient's 16-bit probability index");
 
   // Per-node offsets and per-state write bases, in (node, member-state
   // ascending) order — one sequential prefix pass, as in the explorer.
-  std::vector<std::size_t> act_base(n, 0), out_base(n, 0);
+  std::vector<std::uint32_t> act_base(n, 0), out_base(n, 0);
   q.act_off.assign(q.num_nodes + 1, 0);
   {
     // Members of every node in ascending state order: a counting sort of
@@ -246,13 +271,18 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
     for (std::uint32_t node = 0; node < q.num_nodes; ++node) {
       for (; k < member_end[node]; ++k) {
         const StateId s = members[k];
-        act_base[s] = next_act;
-        out_base[s] = next_out;
+        act_base[s] = static_cast<std::uint32_t>(next_act);
+        out_base[s] = static_cast<std::uint32_t>(next_out);
         next_act += act_count[s];
         next_out += out_count[s];
       }
-      q.act_off[node + 1] = next_act;
+      q.act_off[node + 1] = static_cast<std::uint32_t>(next_act);
     }
+    // Actions never outnumber outcomes, so this bounds every offset and base
+    // narrowed above; a larger quotient throws before any of them is used.
+    GDP_CHECK_MSG(next_out < std::size_t{1} << 32,
+                  "quant: a quotient with " << next_out
+                                            << " outcomes exceeds its 32-bit offsets");
     q.out_off.assign(next_act + 1, 0);
     q.prob.resize(next_out);
     q.dest.resize(next_out);
@@ -265,7 +295,7 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
       const std::uint32_t me = q.node_of[s];
       const bool in_mec = mec_of[s] >= 0;
       std::size_t a = act_base[s];
-      std::size_t o_at = out_base[s];
+      std::uint32_t o_at = out_base[s];
       for (int p = 0; p < phils; ++p) {
         const auto [begin, end] = model.row(static_cast<StateId>(s), p);
         if (begin == end) continue;
@@ -277,7 +307,9 @@ Quotient build_quotient(const ModelT& model, const std::vector<EndComponent>& me
           if (internal) continue;
         }
         for (const Outcome* o = begin; o != end; ++o) {
-          q.prob[o_at] = prob_of(model, *o);
+          const double v = prob_of(model, *o);
+          q.prob[o_at] = static_cast<std::uint16_t>(
+              std::lower_bound(q.probs.begin(), q.probs.end(), v) - q.probs.begin());
           q.dest[o_at] = q.node_of[o->next];
           ++o_at;
         }
@@ -307,7 +339,7 @@ inline double bell_max(const Quotient& q, std::uint32_t i, const std::vector<dou
     for (std::size_t o = q.out_off[a]; o < q.out_off[a + 1]; ++o) {
       const std::uint32_t d = q.dest[o];
       const double v = d == kGoal ? goal : d == kUnknown ? unknown : val[d];
-      acc += q.prob[o] * v;
+      acc += q.p(o) * v;
     }
     best = std::max(best, acc);
   }
@@ -327,8 +359,9 @@ inline std::pair<double, double> bell_max_reach(const Quotient& q, std::uint32_t
     double acc_lo = 0.0, acc_hi = 0.0;
     for (std::size_t o = q.out_off[a]; o < q.out_off[a + 1]; ++o) {
       const std::uint32_t d = q.dest[o];
-      acc_lo += q.prob[o] * (d == kGoal ? goal : d == kUnknown ? 0.0 : lo[d]);
-      acc_hi += q.prob[o] * (d == kGoal ? goal : d == kUnknown ? 1.0 : hi[d]);
+      const double p = q.p(o);
+      acc_lo += p * (d == kGoal ? goal : d == kUnknown ? 0.0 : lo[d]);
+      acc_hi += p * (d == kGoal ? goal : d == kUnknown ? 1.0 : hi[d]);
     }
     best_lo = std::max(best_lo, acc_lo);
     best_hi = std::max(best_hi, acc_hi);

@@ -516,24 +516,29 @@ Model ChunkedModel::materialize() const {
   obs::Span span("store.materialize");
   StoreCounters::get().materializations.increment();
   const std::size_t n = static_cast<std::size_t>(num_phils_);
-  std::vector<std::uint64_t> offsets;
+  // The Model's own storage is filled in place, each array reserved at its
+  // exact size, so the materialized model exists once.
+  std::size_t num_outcomes = 0;
+  for (const Chunk& c : chunks_) num_outcomes += c.num_outcomes();
+  common::GrowArray<std::uint64_t> offsets;
   offsets.reserve(num_states_ * n + 1);
   offsets.push_back(0);
-  std::vector<Outcome> outcomes;
-  std::vector<std::uint64_t> eater_masks;
+  common::GrowArray<Outcome> outcomes;
+  outcomes.reserve(num_outcomes);
+  common::GrowArray<std::uint64_t> eater_masks;
   eater_masks.reserve(num_states_);
   std::vector<bool> frontier_flags;
   frontier_flags.reserve(num_states_);
 
   for (const Chunk& c : chunks_) {
     const std::uint64_t* local_offsets = c.offsets();
-    const Outcome* rows = c.outcomes();
     const std::uint64_t base = offsets.back();
     const std::size_t row_count = c.count() * n;
-    for (std::size_t r = 0; r < row_count; ++r) offsets.push_back(base + local_offsets[r + 1]);
-    outcomes.insert(outcomes.end(), rows, rows + c.num_outcomes());
+    std::uint64_t* const ends = offsets.grow(row_count);
+    for (std::size_t r = 0; r < row_count; ++r) ends[r] = base + local_offsets[r + 1];
+    outcomes.append(c.outcomes(), c.outcomes() + c.num_outcomes());
+    eater_masks.append(c.eaters(), c.eaters() + c.count());
     for (std::size_t local = 0; local < c.count(); ++local) {
-      eater_masks.push_back(c.eaters()[local]);
       frontier_flags.push_back(c.frontier(local));
     }
   }

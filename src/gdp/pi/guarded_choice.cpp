@@ -36,18 +36,30 @@ struct Channel {
 
 struct Shared {
   explicit Shared(const graph::Topology& t)
-      : topology(t), pools(static_cast<std::size_t>(t.num_phils())) {}
+      : topology(t),
+        pools(static_cast<std::size_t>(t.num_phils())),
+        syncs_of(static_cast<std::size_t>(t.num_phils())) {}
   const graph::Topology& topology;
   std::deque<Channel> channels;
   /// Per-agent offer storage. Lives here — not in the Agent — because
   /// channel offer lists keep raw pointers into it: an agent that exits
   /// early must not free offers its peers may still scan.
   std::vector<std::deque<Offer>> pools;
+  /// Per agent: rendezvous taken part in. Each is written by its agent
+  /// only and read by every agent's stop test (targets_met).
+  std::vector<std::atomic<std::uint64_t>> syncs_of;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> rendezvous{0};
   std::atomic<std::uint64_t> violations{0};
   std::uint64_t target = 0;
   int m = 0;
+
+  /// The run's end: `target` rendezvous, and every agent in one of them.
+  bool targets_met() const {
+    return rendezvous.load(std::memory_order_relaxed) >= target &&
+           std::all_of(syncs_of.begin(), syncs_of.end(),
+                       [](const auto& s) { return s.load(std::memory_order_relaxed) > 0; });
+  }
 };
 
 inline void cpu_relax() {
@@ -60,11 +72,11 @@ inline void cpu_relax() {
 
 class Agent {
  public:
-  Agent(Shared& shared, PhilId id, std::uint64_t seed, std::uint64_t& syncs_out)
+  Agent(Shared& shared, PhilId id, std::uint64_t seed)
       : s_(shared),
         id_(id),
         rng_(seed),
-        syncs_(syncs_out),
+        syncs_(shared.syncs_of[static_cast<std::size_t>(id)]),
         left_(shared.topology.left_of(id)),
         right_(shared.topology.right_of(id)),
         pool_(shared.pools[static_cast<std::size_t>(id)]) {}
@@ -87,7 +99,7 @@ class Agent {
           if (state - 1 != left_ && state - 1 != right_) {
             s_.violations.fetch_add(1, std::memory_order_relaxed);
           }
-          ++syncs_;
+          count_sync();
           mine = nullptr;
           continue;
         }
@@ -122,9 +134,8 @@ class Agent {
           mine = nullptr;
         }
         channel(matched_on).syncs.fetch_add(1, std::memory_order_relaxed);
-        ++syncs_;
-        const std::uint64_t total = s_.rendezvous.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (total >= s_.target) s_.stop.store(true, std::memory_order_relaxed);
+        s_.rendezvous.fetch_add(1, std::memory_order_relaxed);
+        count_sync();
       } else if (mine == nullptr) {
         // Nothing to match: publish our mixed choice on both channels.
         pool_.emplace_back();
@@ -146,10 +157,17 @@ class Agent {
       }
     }
     // Final claim check so late rendezvous still count.
-    if (mine != nullptr && mine->state.load(std::memory_order_acquire) > 0) ++syncs_;
+    if (mine != nullptr && mine->state.load(std::memory_order_acquire) > 0) count_sync();
   }
 
  private:
+  /// Counts one rendezvous for this agent and ends the run once the
+  /// targets are met (either side of a rendezvous may complete them).
+  void count_sync() {
+    syncs_.fetch_add(1, std::memory_order_relaxed);
+    if (s_.targets_met()) s_.stop.store(true, std::memory_order_relaxed);
+  }
+
   Channel& channel(ForkId c) { return s_.channels[static_cast<std::size_t>(c)]; }
 
   /// GDP1-style two-channel acquisition: higher nr first (ties right),
@@ -182,7 +200,7 @@ class Agent {
   Shared& s_;
   const PhilId id_;
   rng::Rng rng_;
-  std::uint64_t& syncs_;
+  std::atomic<std::uint64_t>& syncs_;
   const ForkId left_, right_;
   std::deque<Offer>& pool_;  // stable addresses in Shared; outlives every agent
 };
@@ -202,12 +220,12 @@ ChoiceResult run_guarded_choice(const graph::Topology& t, const ChoiceConfig& co
   GDP_CHECK_MSG(shared.m >= t.num_forks(), "GDP requires m >= number of channels");
   for (ForkId c = 0; c < t.num_forks(); ++c) shared.channels.emplace_back();
 
-  std::vector<std::uint64_t> syncs_of(static_cast<std::size_t>(t.num_phils()), 0);
   rng::Rng seeder(config.seed);
 
   // gdp-lint: allow(wall-clock) — duration cutoff for a real-concurrency harness;
   // sync counts are reported per-run, never diffed against golden files
   const auto start = std::chrono::steady_clock::now();
+  bool timed_out = false;
   {
     // gdp-lint: allow(raw-thread) — the point of this harness is one OS thread
     // per agent racing on real mutexes; the deterministic pool does not apply
@@ -215,14 +233,17 @@ ChoiceResult run_guarded_choice(const graph::Topology& t, const ChoiceConfig& co
     threads.reserve(static_cast<std::size_t>(t.num_phils()));
     for (PhilId a = 0; a < t.num_phils(); ++a) {
       const std::uint64_t seed = seeder.split(static_cast<std::uint64_t>(a)).next_u64();
-      threads.emplace_back([&shared, a, seed, &syncs_of] {
-        Agent agent(shared, a, seed, syncs_of[static_cast<std::size_t>(a)]);
+      threads.emplace_back([&shared, a, seed] {
+        Agent agent(shared, a, seed);
         agent.run();
       });
     }
     const auto deadline = start + config.max_duration;
-    while (!shared.stop.load(std::memory_order_relaxed) &&
-           std::chrono::steady_clock::now() < deadline) {  // gdp-lint: allow(wall-clock) — deadline poll, timing-only
+    while (!shared.stop.load(std::memory_order_relaxed)) {
+      if (std::chrono::steady_clock::now() >= deadline) {  // gdp-lint: allow(wall-clock) — deadline poll, timing-only
+        timed_out = true;
+        break;
+      }
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     shared.stop.store(true, std::memory_order_relaxed);
@@ -230,7 +251,7 @@ ChoiceResult run_guarded_choice(const graph::Topology& t, const ChoiceConfig& co
   const auto end = std::chrono::steady_clock::now();  // gdp-lint: allow(wall-clock) — elapsed-seconds report only
 
   ChoiceResult result;
-  result.syncs_of = std::move(syncs_of);
+  for (const auto& s : shared.syncs_of) result.syncs_of.push_back(s.load());
   result.total_syncs = shared.rendezvous.load();
   for (ForkId c = 0; c < t.num_forks(); ++c) {
     result.syncs_on.push_back(shared.channels[static_cast<std::size_t>(c)].syncs.load());
@@ -240,6 +261,7 @@ ChoiceResult run_guarded_choice(const graph::Topology& t, const ChoiceConfig& co
                                 ? static_cast<double>(result.total_syncs) / result.elapsed_seconds
                                 : 0.0;
   result.violations = shared.violations.load();
+  result.timed_out = timed_out;
   return result;
 }
 

@@ -36,9 +36,13 @@ namespace gdp::pi {
 
 struct ChoiceConfig {
   std::uint64_t seed = 1;
-  /// Stop once this many rendezvous completed (split across agents).
+  /// Stop once this many rendezvous completed (split across agents) and
+  /// every agent has taken part in one: a run ends on each agent's
+  /// progress, not on a total the others can reach before a slow thread
+  /// starts.
   std::uint64_t target_syncs = 1000;
-  /// Safety-net duration after which the run stops regardless.
+  /// Safety-net duration after which the run stops regardless; a run it
+  /// stops reports timed_out.
   std::chrono::milliseconds max_duration{10'000};
   /// GDP numbering range (0 = number of channels).
   int m = 0;
@@ -54,12 +58,15 @@ struct ChoiceResult {
   double syncs_per_second = 0.0;
   /// Pairing violations detected (an offer claimed twice, etc.); must be 0.
   std::uint64_t violations = 0;
+  /// The duration cap ended the run before its sync targets were met.
+  bool timed_out = false;
 
   bool everyone_synced() const;
 };
 
 /// Runs one choosing agent per topology arc (channels = forks) with real
-/// threads until `target_syncs` or the duration cap. Agents with even id
+/// threads until `target_syncs` (with every agent synced) or the duration
+/// cap. Agents with even id
 /// offer sends, odd id offers receives, and any agent may *match* either
 /// direction — a genuine mixed choice.
 ChoiceResult run_guarded_choice(const graph::Topology& t, const ChoiceConfig& config);

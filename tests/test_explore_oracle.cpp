@@ -5,10 +5,14 @@
 // reproduce the reference Model byte for byte and its StateIndex id for id,
 // at threads {1, 2, 4, hw}: on levels that intern inline, levels that
 // intern in parallel, capped runs, wide (heap-spilled) keys, and a
-// store::resume round trip.
+// store::resume round trip. A synthetic program with chosen level sizes
+// (1, 63, 64, 65 and 130 states) pins the edges of the explorer's 64-state
+// expansion blocks at threads {1, 2, 3, 4}, including a resume from a
+// checkpoint whose expanded prefix ends inside a block.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -158,6 +162,140 @@ Reference expect_matches_oracle(const std::string& algo_name, const graph::Topol
     expect_index_matches(ref, index);
   }
   return ref;
+}
+
+/// A synthetic program whose BFS levels have exactly the sizes in
+/// `levels` (levels[0] == 1). State (L, i) — the i-th state of level L —
+/// lives in the aux words as base-4 digits. Philosopher p's branch b of
+/// (L, i) leads to (L + 1, (i * n * fan + p * fan + b) mod levels[L + 1])
+/// with probability 1 / fan, so level L + 1 is covered whenever
+/// levels[L] * n * fan >= levels[L + 1]; states of the last level loop.
+class Ladder final : public algos::Algorithm {
+ public:
+  Ladder(std::vector<std::size_t> levels, int fan)
+      : Algorithm(algos::AlgoConfig{}), levels_(std::move(levels)), fan_(fan) {}
+
+  std::string name() const override { return "ladder"; }
+
+  void step(const graph::Topology& t, const sim::SimState& state, PhilId p,
+            sim::SimState& scratch, algos::BranchSink& sink) const override {
+    std::size_t level = 0, index = 0;
+    for (int d = kDigits - 1; d >= 0; --d) {
+      level = level * 4 + static_cast<std::size_t>(state.aux[static_cast<std::size_t>(d)] + 1);
+      index = index * 4 +
+              static_cast<std::size_t>(state.aux[static_cast<std::size_t>(kDigits + d)] + 1);
+    }
+    if (level + 1 == levels_.size()) {
+      sink(1.0, sim::StepEvent{}, state);
+      return;
+    }
+    const std::size_t n = static_cast<std::size_t>(t.num_phils());
+    const std::size_t fan = static_cast<std::size_t>(fan_);
+    for (std::size_t b = 0; b < fan; ++b) {
+      scratch = state;
+      put(scratch, level + 1,
+          (index * n * fan + static_cast<std::size_t>(p) * fan + b) % levels_[level + 1]);
+      sink(1.0 / static_cast<double>(fan), sim::StepEvent{}, scratch);
+    }
+  }
+
+  std::size_t num_states() const {
+    std::size_t total = 0;
+    for (const std::size_t l : levels_) total += l;
+    return total;
+  }
+
+ protected:
+  void init_aux(sim::SimState& s, const graph::Topology& t) const override {
+    EXPECT_EQ(t.num_phils(), 3) << "base-4 digits need aux values in [-1, 2]";
+    s.aux.assign(2 * kDigits, 0);
+    put(s, 0, 0);
+  }
+
+ private:
+  static constexpr int kDigits = 4;  // per coordinate: levels and indices below 256
+
+  static void put(sim::SimState& s, std::size_t level, std::size_t index) {
+    for (int d = 0; d < kDigits; ++d) {
+      const unsigned shift = 2 * static_cast<unsigned>(d);
+      s.aux[static_cast<std::size_t>(d)] = static_cast<std::int32_t>((level >> shift) & 3) - 1;
+      s.aux[static_cast<std::size_t>(kDigits + d)] =
+          static_cast<std::int32_t>((index >> shift) & 3) - 1;
+    }
+  }
+
+  std::vector<std::size_t> levels_;
+  int fan_;
+};
+
+/// Levels straddling the 64-state expansion block, one of them two blocks
+/// and a remainder wide. Each narrower level follows a wider one, so a
+/// block the level does not own still holds the previous level's data.
+const std::vector<std::size_t> kBlockEdgeLevels{1, 65, 64, 63, 130, 1};
+
+/// The ladder's explore_indexed at threads {1, 2, 3, 4} against the
+/// reference.
+Reference expect_ladder_matches_oracle(const Ladder& ladder, const graph::Topology& t) {
+  Reference ref = reference_explore(ladder, t, 2'000'000);
+  EXPECT_FALSE(ref.model.truncated());
+  EXPECT_EQ(ref.model.num_states(), ladder.num_states());
+  for (const int threads : {1, 2, 3, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    StateIndex index;
+    const Model model =
+        explore_indexed(ladder, t, index, {.threads = threads, .max_states = 2'000'000});
+    expect_model_matches(ref.model, model);
+    expect_index_matches(ref, index);
+  }
+  return ref;
+}
+
+TEST(ExploreOracle, LevelsStraddlingTheExpansionBlockInline) {
+  const Ladder ladder(kBlockEdgeLevels, 32);
+  const Reference ref = expect_ladder_matches_oracle(ladder, graph::classic_ring(3));
+  EXPECT_LT(ref.max_level_successors, kParallelInternMin);
+}
+
+TEST(ExploreOracle, LevelsStraddlingTheExpansionBlockInParallel) {
+  // 63 states x 3 philosophers x 400 branches: every level from the
+  // second on interns on the pool.
+  const Ladder ladder(kBlockEdgeLevels, 400);
+  const Reference ref = expect_ladder_matches_oracle(ladder, graph::classic_ring(3));
+  EXPECT_GE(ref.max_level_successors, kParallelInternMin);
+}
+
+TEST(ExploreOracle, ResumeFromACheckpointEndingMidBlock) {
+  // A cap of 194 stops after the 63-state level: the expanded prefix is
+  // 1 + 65 + 64 + 63 = 193 states (three blocks and one state), and the
+  // resumed run's first level (130 states) starts inside a block.
+  const Ladder ladder(kBlockEdgeLevels, 400);
+  const auto t = graph::classic_ring(3);
+  const Reference ref = reference_explore(ladder, t, 2'000'000);
+  const std::string dir = ::testing::TempDir() + "gdp_ladder_checkpoint";
+  for (const int threads : {1, 2, 3, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const store::ChunkedModel capped =
+        store::explore(ladder, t, {.chunk_states = 50}, {.threads = threads, .max_states = 194});
+    ASSERT_TRUE(capped.truncated());
+    ASSERT_EQ(capped.num_states(), 193u + 130u);
+    ASSERT_FALSE(capped.frontier(192));
+    ASSERT_TRUE(capped.frontier(193));
+    const std::string path = dir + std::to_string(threads) + ".gdpstore";
+    capped.save_checkpoint(path);
+    const store::ChunkedModel loaded = store::ChunkedModel::load_checkpoint(ladder, t, path);
+    const store::ChunkedModel resumed =
+        store::resume(ladder, t, loaded, {}, {.threads = threads, .max_states = 2'000'000});
+    std::remove(path.c_str());
+    EXPECT_FALSE(resumed.truncated());
+    expect_model_matches(ref.model, resumed);
+    const std::vector<std::uint64_t> keys = resumed.flat_keys();
+    const std::size_t kw = resumed.codec().key_words();
+    ASSERT_EQ(keys.size(), ref.keys.size() * kw);
+    for (std::size_t id = 0; id < ref.keys.size(); ++id) {
+      ASSERT_TRUE(std::equal(ref.keys[id].data(), ref.keys[id].data() + kw, keys.data() + id * kw))
+          << "key of id " << id;
+    }
+  }
 }
 
 TEST(ExploreOracle, LevelsBelowTheInlineCutoff) {

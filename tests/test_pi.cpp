@@ -54,7 +54,12 @@ TEST(GuardedChoice, SharedChannelTopologiesWork) {
 }
 
 TEST(GuardedChoice, NobodyStarvesOnModerateRuns) {
+  // The run ends once 4,000 rendezvous are done AND every agent took part
+  // in one, so an agent whose thread starts late is waited for; only the
+  // 20 s cap ends it otherwise, and a capped run fails.
   const auto r = run_on(graph::classic_ring(4), 4'000, 3);
+  EXPECT_FALSE(r.timed_out);
+  EXPECT_GE(r.total_syncs, 4'000u);
   EXPECT_TRUE(r.everyone_synced());
 }
 

@@ -24,7 +24,11 @@ Checks, for each file given on the command line:
     dependent and must stay on the timing plane, while the chunk-shape and
     spill/checkpoint counters are pure functions of the call sequence and
     must stay deterministic — a counter drifting planes would silently
-    break the deterministic fingerprint's run-to-run stability.
+    break the deterministic fingerprint's run-to-run stability;
+  * the explorer's footprint gauges (level scratch, rows, keys, slots and
+    the interner's peak) are present on the deterministic plane with a
+    value above 0 — every report validated here comes from a run that
+    explores, so a missing or zero gauge means the accounting broke.
 
 Exit status: 0 when every file validates, 1 otherwise. Stdlib only — this
 runs in the bench-smoke CI step with no third-party packages.
@@ -61,6 +65,15 @@ TIMING_ONLY_GAUGES = frozenset({
     "store.resident_bytes",
     "quant.bracket_width_ppb",
 })
+# Explore's footprint by structure (level_explore.cpp), all sizes: each
+# must be reported, deterministically, and above 0.
+EXPLORE_FOOTPRINT_GAUGES = (
+    "explore.intern_bytes_peak",
+    "explore.key_bytes_peak",
+    "explore.level_scratch_bytes_peak",
+    "explore.row_bytes_peak",
+    "explore.slot_bytes_peak",
+)
 
 
 def _fail(errors: list[str], where: str, message: str) -> None:
@@ -186,6 +199,11 @@ def validate(report: object) -> list[str]:
         for name in sorted(TIMING_ONLY_GAUGES & det_gauges.keys()):
             _fail(errors, f"deterministic.gauges.{name}",
                   "is scheduling-dependent and belongs on the timing plane")
+        for name in EXPLORE_FOOTPRINT_GAUGES:
+            value = det_gauges.get(name)
+            if not isinstance(value, int) or value <= 0:
+                _fail(errors, f"deterministic.gauges.{name}",
+                      f"must be present and above 0, got {value!r}")
     return errors
 
 
