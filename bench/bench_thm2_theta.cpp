@@ -26,7 +26,6 @@
 #include "gdp/mdp/quant/quant.hpp"
 #include "gdp/mdp/store/store.hpp"
 #include "gdp/mdp/witness.hpp"
-#include "gdp/sim/state.hpp"
 
 using namespace gdp;
 
@@ -102,9 +101,9 @@ int main(int argc, char** argv) {
   }
 
   if (want('b')) {
-  std::printf("\n(b) packed state keys (gdp::mdp::KeyCodec): intern-table + frontier memory:\n");
+  std::printf("\n(b) packed state keys (gdp::mdp::KeyCodec): intern-table memory:\n");
   stats::Table keys({"model", "states", "B/state packed", "B/state legacy", "ratio",
-                     "peak intern bytes (keys+slots)", "frontier B/item", "was (SimState)"});
+                     "peak intern bytes (keys+slots)"});
   struct KeyCase {
     const char* algo;
     graph::Topology t;
@@ -112,17 +111,6 @@ int main(int argc, char** argv) {
   const KeyCase key_cases[] = {{"lr2", graph::parallel_arcs(4)},
                                {"gdp2", graph::classic_ring(3)},
                                {"lr2", graph::parallel_arcs(3)}};
-  // Heap footprint of one SimState of this shape — what every frontier item
-  // and replay slot carried by value before the explorers switched to
-  // decode-on-demand packed keys.
-  auto sim_state_bytes = [](const sim::SimState& s) {
-    std::size_t b = sizeof(sim::SimState);
-    b += s.forks.capacity() * sizeof(sim::ForkState);
-    for (const auto& f : s.forks) b += f.use_rank.capacity() * sizeof(std::uint8_t);
-    b += s.phils.capacity() * sizeof(sim::PhilState);
-    b += s.aux.capacity() * sizeof(std::int32_t);
-    return b;
-  };
   // The explorer's StateIndex keeps every key once, in its flat id-ordered
   // array (the same array take_model hands the chunked store), plus one
   // 4-byte id slot per hash-table entry; both are thread-invariant.
@@ -135,26 +123,17 @@ int main(int argc, char** argv) {
     const std::size_t legacy = codec.legacy_key_bytes();
     const std::size_t peak_packed = index.key_bytes() + index.slot_bytes();
     const std::size_t peak_legacy = index.size() * legacy + index.slot_bytes();
-    // A frontier item is one provisional id plus the packed key (wide
-    // layouts spill to a heap block of exactly key_bytes()).
-    const std::size_t frontier_item =
-        sizeof(std::uint32_t) + sizeof(mdp::PackedKey) +
-        (codec.key_words() > mdp::PackedKey::kInlineWords ? codec.key_bytes() : 0);
-    const std::size_t frontier_was =
-        sizeof(std::uint32_t) + sim_state_bytes(algo->initial_state(kc.t));
     char ratio[32];
     std::snprintf(ratio, sizeof ratio, "%.1fx", static_cast<double>(legacy) / packed);
     keys.add_row({std::string(kc.algo) + "/" + kc.t.name(), std::to_string(model.num_states()),
                   std::to_string(packed), std::to_string(legacy), ratio,
-                  std::to_string(peak_packed) + " (was " + std::to_string(peak_legacy) + ")",
-                  std::to_string(frontier_item), std::to_string(frontier_was)});
+                  std::to_string(peak_packed) + " (was " + std::to_string(peak_legacy) + ")"});
     // Machine-readable line for BENCH json tracking of the memory win.
     std::printf("  BENCH key_bytes model=%s/%s states=%zu packed_bytes_per_state=%zu "
                 "legacy_bytes_per_state=%zu peak_intern_bytes=%zu "
-                "intern_key_bytes=%zu intern_slot_bytes=%zu frontier_item_bytes=%zu "
-                "frontier_item_bytes_legacy=%zu\n",
+                "intern_key_bytes=%zu intern_slot_bytes=%zu\n",
                 kc.algo, kc.t.name().c_str(), model.num_states(), packed, legacy, peak_packed,
-                index.key_bytes(), index.slot_bytes(), frontier_item, frontier_was);
+                index.key_bytes(), index.slot_bytes());
   }
   keys.print();
   }

@@ -64,6 +64,11 @@ fi
 # sweeps. The one list feeds both the build targets and the ctest selection.
 TSAN_SUITES=(test_pool test_grow_array test_mdp_par test_explore_oracle test_exp test_key test_quant test_chain
              test_store test_obs)
+# Per-test timeout of the TSan ctest, in seconds. test_obs, the slowest
+# suite, ran 1,205 s under TSan on 4 cores (~50 s native), close to ctest's
+# 1,500 s default; three times that measurement leaves a slower runner room
+# without letting a hung suite stall the job indefinitely.
+TSAN_TEST_TIMEOUT=3600
 
 tsan_pass() {
   echo "=== tsan: configure ==="
@@ -72,7 +77,7 @@ tsan_pass() {
   echo "=== tsan: build ${TSAN_SUITES[*]} ==="
   cmake --build build/tsan -j "${JOBS}" --target "${TSAN_SUITES[@]}"
   echo "=== tsan: ctest ${TSAN_SUITES[*]} ==="
-  ctest --test-dir build/tsan --output-on-failure -R "^($(IFS='|'; echo "${TSAN_SUITES[*]}"))\$"
+  ctest --test-dir build/tsan --output-on-failure --timeout "${TSAN_TEST_TIMEOUT}" -R "^($(IFS='|'; echo "${TSAN_SUITES[*]}"))\$"
 }
 
 if [[ "${1:-}" == "tsan" ]]; then

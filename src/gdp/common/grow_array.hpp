@@ -74,6 +74,8 @@ class GrowArray {
 
   T* data() { return data_; }
   const T* data() const { return data_; }
+  T* begin() { return data_; }
+  T* end() { return data_ + size_; }
   const T* begin() const { return data_; }
   const T* end() const { return data_ + size_; }
   T& operator[](std::size_t i) { return data_[i]; }

@@ -28,12 +28,19 @@ Model Model::build(int num_phils, common::GrowArray<std::uint64_t> offsets,
     GDP_CHECK_MSG(offsets[r] <= offsets[r + 1], "Model::build: offsets not monotone at row " << r);
   }
   detail::DiscoveryOrder order(n);
+  std::size_t frontier_from = n;  // first frontier state, if any
   for (StateId s = 0; s < n; ++s) {
     const std::size_t base = static_cast<std::size_t>(s) * static_cast<std::size_t>(num_phils);
     const Outcome* begin = outcomes.data() + offsets[base];
     const Outcome* end = outcomes.data() + offsets[base + static_cast<std::size_t>(num_phils)];
-    GDP_CHECK_MSG(!frontier[s] || begin == end,
-                  "Model::build: frontier state " << s << " must have empty rows");
+    if (frontier[s]) {
+      if (frontier_from == n) frontier_from = s;
+      GDP_CHECK_MSG(begin == end, "Model::build: frontier state " << s << " must have empty rows");
+    } else {
+      GDP_CHECK_MSG(frontier_from == n, "Model::build: frontier is not an id tail: state "
+                                            << s << " is expanded after frontier state "
+                                            << frontier_from);
+    }
     for (const Outcome* o = begin; o != end; ++o) {
       GDP_CHECK_MSG(o->next < n, "Model::build: outcome targets unknown state " << o->next);
       GDP_CHECK_MSG(o->prob > 0.0f && o->prob <= 1.0f,
@@ -42,6 +49,11 @@ Model Model::build(int num_phils, common::GrowArray<std::uint64_t> offsets,
     GDP_CHECK_MSG(order.feed(begin, end),
                   "Model::build: state " << s << " has no incoming outcome from a lower id");
   }
+  // A model is truncated exactly when some state was never expanded; a
+  // complete model with frontier states would be certified unexplored.
+  GDP_CHECK_MSG(truncated == (frontier_from < n),
+                "Model::build: truncated flag " << truncated << " disagrees with its "
+                                                << n - frontier_from << " frontier states");
   // Rows must be distributions: the quantitative checker's soundness
   // arguments (clamps, OVI verification) assume (sub)stochastic rows.
   for (std::size_t r = 0; r + 1 < offsets.size(); ++r) {

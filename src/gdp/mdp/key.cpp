@@ -158,11 +158,6 @@ void KeyCodec::encode(const sim::SimState& state, std::uint64_t* w) const {
   GDP_DCHECK(bit == bits_);
 }
 
-sim::SimState KeyCodec::decode(const PackedKey& key) const {
-  GDP_CHECK_MSG(key.words() == words_, "key width " << key.words() << " != layout " << words_);
-  return decode(key.data());
-}
-
 sim::SimState KeyCodec::decode(const std::uint64_t* w) const {
   sim::SimState state;
   decode(w, state);
@@ -227,7 +222,7 @@ void StateIndex::reset(const KeyCodec& codec) {
   for (Shard& shard : shards_) shard.slots.assign(kMinShardSlots, kEmpty);
 }
 
-void StateIndex::restore(const KeyCodec& codec, std::vector<std::uint64_t> flat_keys) {
+void StateIndex::restore(const KeyCodec& codec, common::GrowArray<std::uint64_t> flat_keys) {
   reset(codec);
   GDP_CHECK_MSG(kw_ > 0 && flat_keys.size() % kw_ == 0,
                 "StateIndex: " << flat_keys.size() << " key words are not whole " << kw_
@@ -261,6 +256,12 @@ std::size_t StateIndex::slot_bytes() const {
 std::optional<StateId> StateIndex::find(const std::uint64_t* words) const {
   if (size_ == 0) return std::nullopt;
   return find_hashed(words, hash_key_words(words, kw_));
+}
+
+std::optional<StateId> StateIndex::find(const sim::SimState& state) const {
+  std::vector<std::uint64_t> words(kw_);
+  codec_.encode(state, words.data());
+  return find(words.data());
 }
 
 std::optional<StateId> StateIndex::find_hashed(const std::uint64_t* words,
@@ -318,10 +319,8 @@ std::uint32_t StateIndex::find_or_claim(std::uint64_t hash, const std::uint64_t*
 std::uint64_t* StateIndex::append(std::size_t n) {
   GDP_CHECK_MSG(size_ + n < kPendingTag,
                 "StateIndex: " << size_ + n << " states exceed the 2^31 id range");
-  keys_.resize((size_ + n) * kw_);
-  std::uint64_t* first = keys_.data() + size_ * kw_;
   size_ += n;
-  return first;
+  return keys_.grow(n * kw_);
 }
 
 void StateIndex::settle_shard(std::size_t s, const std::uint32_t* id_of) {

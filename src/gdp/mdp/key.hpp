@@ -28,17 +28,21 @@
 // range the layout can represent (a scratch word, an out-of-contract aux
 // value) fail a GDP_CHECK instead of silently aliasing two states.
 //
-// decode() reconstructs the full SimState from a key, which keeps witness
+// A key is a run of key_words() 64-bit words and has no type of its own:
+// the StateIndex owns every explored state's run once, in one id-ordered
+// word array, and everything else (the explorer's level buffers, the
+// chunked store's payloads, a checkpoint) holds runs of the same words.
+// decode() reconstructs the full SimState from a run, which keeps witness
 // replay and trace output byte-for-byte what it was with byte-vector keys.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <optional>
-#include <utility>
+#include <span>
 #include <vector>
 
 #include "gdp/algos/algorithm.hpp"
+#include "gdp/common/grow_array.hpp"
 #include "gdp/graph/topology.hpp"
 #include "gdp/rng/splitmix.hpp"
 #include "gdp/sim/state.hpp"
@@ -50,104 +54,6 @@ class LevelExplorer;
 }  // namespace detail
 
 using StateId = std::uint32_t;
-
-/// A fixed-width bit-packed state key: `words()` 64-bit words, value
-/// semantics, word-wise equality. Keys up to kInlineWords live inline (no
-/// heap traffic per encode); wider layouts — e.g. books at high
-/// degree — spill to a heap block of exactly words() words.
-class PackedKey {
- public:
-  static constexpr std::size_t kInlineWords = 3;
-
-  PackedKey() = default;
-  explicit PackedKey(std::size_t words) { resize(words); }
-
-  PackedKey(const PackedKey& rhs) { copy_from(rhs); }
-  PackedKey(PackedKey&& rhs) noexcept : words_(rhs.words_) {
-    if (words_ > kInlineWords) {
-      heap_ = rhs.heap_;
-      rhs.words_ = 0;
-    } else {
-      for (std::size_t i = 0; i < words_; ++i) inline_[i] = rhs.inline_[i];
-    }
-  }
-  PackedKey& operator=(const PackedKey& rhs) {
-    if (this != &rhs) {
-      release();
-      copy_from(rhs);
-    }
-    return *this;
-  }
-  PackedKey& operator=(PackedKey&& rhs) noexcept {
-    if (this != &rhs) {
-      release();
-      words_ = rhs.words_;
-      if (words_ > kInlineWords) {
-        heap_ = rhs.heap_;
-        rhs.words_ = 0;
-      } else {
-        for (std::size_t i = 0; i < words_; ++i) inline_[i] = rhs.inline_[i];
-      }
-    }
-    return *this;
-  }
-  ~PackedKey() { release(); }
-
-  std::size_t words() const { return words_; }
-  std::size_t bytes() const { return words_ * sizeof(std::uint64_t); }
-
-  std::uint64_t* data() { return words_ <= kInlineWords ? inline_.data() : heap_; }
-  const std::uint64_t* data() const { return words_ <= kInlineWords ? inline_.data() : heap_; }
-
-  /// Overwrites this key with `words` words copied from `w` — the
-  /// reconstruction path for keys stored as flat word runs (the level
-  /// explorer's per-level successor buffers, the chunked store's key runs).
-  void assign(const std::uint64_t* w, std::size_t words) {
-    resize(words);
-    std::uint64_t* d = data();
-    for (std::size_t i = 0; i < words; ++i) d[i] = w[i];
-  }
-
-  /// Sets the width and zero-fills the payload (encode() overwrites it).
-  void resize(std::size_t words) {
-    if (words != words_) {
-      release();
-      words_ = static_cast<std::uint32_t>(words);
-      if (words > kInlineWords) heap_ = new std::uint64_t[words];
-    }
-    std::uint64_t* w = data();
-    for (std::size_t i = 0; i < words_; ++i) w[i] = 0;
-  }
-
-  bool operator==(const PackedKey& rhs) const {
-    if (words_ != rhs.words_) return false;
-    const std::uint64_t* a = data();
-    const std::uint64_t* b = rhs.data();
-    for (std::size_t i = 0; i < words_; ++i) {
-      if (a[i] != b[i]) return false;
-    }
-    return true;
-  }
-
- private:
-  void copy_from(const PackedKey& rhs) {
-    words_ = rhs.words_;
-    if (words_ > kInlineWords) heap_ = new std::uint64_t[words_];
-    std::uint64_t* w = data();
-    const std::uint64_t* r = rhs.data();
-    for (std::size_t i = 0; i < words_; ++i) w[i] = r[i];
-  }
-  void release() {
-    if (words_ > kInlineWords) delete[] heap_;
-    words_ = 0;
-  }
-
-  std::uint32_t words_ = 0;
-  union {
-    std::array<std::uint64_t, kInlineWords> inline_ = {};
-    std::uint64_t* heap_;
-  };
-};
 
 /// Word-wise splitmix fold over a key's word run (the StateIndex hash);
 /// replaces the byte-wise FNV of the old keys.
@@ -190,19 +96,9 @@ class KeyCodec {
 
   /// Writes the key_words() words of `state`'s key to `out`.
   void encode(const sim::SimState& state, std::uint64_t* out) const;
-  void encode(const sim::SimState& state, PackedKey& out) const {
-    out.resize(words_);
-    encode(state, out.data());
-  }
-  PackedKey encode(const sim::SimState& state) const {
-    PackedKey key;
-    encode(state, key);
-    return key;
-  }
 
-  /// Exact inverse of encode() on keys it produced.
-  sim::SimState decode(const PackedKey& key) const;
-  /// decode() of a key stored as a key_words()-word run.
+  /// Exact inverse of encode() on keys it produced: the state whose key is
+  /// the key_words()-word run at `words`.
   sim::SimState decode(const std::uint64_t* words) const;
   /// decode() into `out`: overwrites every field, whatever `out` held or
   /// its shape, reusing its storage (no allocation once `out` has the
@@ -231,9 +127,9 @@ class KeyCodec {
 /// slot (low bits); a slot holds kEmpty or an id, so the whole index costs
 /// key_bytes() + slot_bytes() — no per-key node, no second key copy.
 ///
-/// Callers holding only the index (WitnessScheduler, the differential tests)
-/// locate live SimStates with find/count and decode stored keys back into
-/// configurations with codec().decode(key(id)). Iteration runs in id order.
+/// Callers holding only the index (WitnessScheduler, the differential
+/// tests) encode a live SimState into a word buffer and find() it, and read
+/// stored keys by looping over the ids: codec().decode(key(id)).
 ///
 /// Phase-concurrent interning (Shun & Blelloch, "Phase-Concurrent Hash
 /// Tables for Determinism", SPAA 2014): during one level of the explorer
@@ -257,8 +153,9 @@ class StateIndex {
 
   /// Installs the codec and rebuilds the table from id-ordered flat keys
   /// (key_words() words per state — a checkpoint's, or the initial state's),
-  /// hashing every key once. Throws PreconditionError on a duplicate key.
-  void restore(const KeyCodec& codec, std::vector<std::uint64_t> flat_keys);
+  /// which it takes over as its key array, hashing every key once. Throws
+  /// PreconditionError on a duplicate key.
+  void restore(const KeyCodec& codec, common::GrowArray<std::uint64_t> flat_keys);
 
   const KeyCodec& codec() const { return codec_; }
   std::size_t key_words() const { return kw_; }
@@ -271,44 +168,16 @@ class StateIndex {
     return keys_.data() + static_cast<std::size_t>(id) * kw_;
   }
   /// Every key, id-ordered, key_words() words each.
-  const std::vector<std::uint64_t>& flat_keys() const { return keys_; }
+  std::span<const std::uint64_t> flat_keys() const { return {keys_.data(), keys_.size()}; }
 
+  /// The id of the key whose key_words() words are at `words`, if stored.
   std::optional<StateId> find(const std::uint64_t* words) const;
-  std::optional<StateId> find(const PackedKey& key) const {
-    if (key.words() != kw_) return std::nullopt;
-    return find(key.data());
-  }
-  std::optional<StateId> find(const sim::SimState& state) const {
-    return find(codec_.encode(state));
-  }
-  std::size_t count(const sim::SimState& state) const { return find(state).has_value() ? 1 : 0; }
+  /// find() of `state`'s key, encoded into a local buffer.
+  std::optional<StateId> find(const sim::SimState& state) const;
 
   /// Footprint: the flat keys, and the shards' slot arrays.
   std::size_t key_bytes() const { return keys_.size() * sizeof(std::uint64_t); }
   std::size_t slot_bytes() const;
-
-  /// Id-ordered iteration over (key, id) pairs; keys are copied out.
-  class const_iterator {
-   public:
-    using value_type = std::pair<PackedKey, StateId>;
-    const_iterator(const StateIndex* index, StateId id) : index_(index), id_(id) {}
-    value_type operator*() const {
-      PackedKey key;
-      key.assign(index_->key(id_), index_->kw_);
-      return {std::move(key), id_};
-    }
-    const_iterator& operator++() {
-      ++id_;
-      return *this;
-    }
-    bool operator==(const const_iterator& rhs) const { return id_ == rhs.id_; }
-
-   private:
-    const StateIndex* index_;
-    StateId id_;
-  };
-  const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, static_cast<StateId>(size_)}; }
 
  private:
   // --- Phase-concurrent interning, driven by the level explorer. ---
@@ -327,8 +196,8 @@ class StateIndex {
   std::uint32_t find_or_claim(std::uint64_t hash, const std::uint64_t* level_keys,
                               std::uint32_t pos);
 
-  /// Appends `n` zeroed keys as ids [size(), size() + n) and returns the
-  /// first one's words for the caller to fill.
+  /// Appends `n` uninitialized keys as ids [size(), size() + n) and returns
+  /// the first one's words: the caller writes every word before any read.
   std::uint64_t* append(std::size_t n);
 
   /// Replaces every slot `shard` claimed this phase, kPendingTag | pos, by
@@ -349,7 +218,7 @@ class StateIndex {
   KeyCodec codec_;
   std::size_t kw_ = 0;
   std::size_t size_ = 0;
-  std::vector<std::uint64_t> keys_;  // id -> key_words() words
+  common::GrowArray<std::uint64_t> keys_;  // id -> key_words() words
   std::vector<Shard> shards_;
 };
 

@@ -101,8 +101,9 @@ LevelExplorer::LevelExplorer(const algos::Algorithm& algo, const graph::Topology
                                          << t.num_phils());
   codec_ = KeyCodec(algo, t);
   const sim::SimState initial = algo.initial_state(t);
-  const PackedKey key = codec_.encode(initial);
-  index_.restore(codec_, std::vector<std::uint64_t>(key.data(), key.data() + key.words()));
+  common::GrowArray<std::uint64_t> key;
+  codec_.encode(initial, key.grow(codec_.key_words()));
+  index_.restore(codec_, std::move(key));
   eaters_.push_back(sim::eater_mask(initial));
   row_ends_.push_back(0);
 }

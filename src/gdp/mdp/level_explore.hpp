@@ -83,7 +83,7 @@ class LevelExplorer {
   /// no-materialize contract. Rows are copied in (state, philosopher)
   /// ascending order, which reproduces the contiguous CSR byte for byte.
   template <class ModelT>
-  void restore(const ModelT& model, std::vector<std::uint64_t> keys) {
+  void restore(const ModelT& model, common::GrowArray<std::uint64_t> keys) {
     GDP_CHECK_MSG(model.num_phils() == topology_.num_phils(),
                   "restore: model has " << model.num_phils() << " philosophers, topology has "
                                         << topology_.num_phils());
@@ -92,9 +92,9 @@ class LevelExplorer {
     GDP_CHECK_MSG(states > 0 && keys.size() == states * kw,
                   "restore: " << keys.size() << " key words for " << states << " states of "
                               << kw << " words");
-    const PackedKey initial = codec_.encode(algo_.initial_state(topology_));
-    GDP_CHECK_MSG(std::equal(keys.begin(), keys.begin() + static_cast<std::ptrdiff_t>(kw),
-                             initial.data()),
+    std::vector<std::uint64_t> initial(kw);
+    codec_.encode(algo_.initial_state(topology_), initial.data());
+    GDP_CHECK_MSG(std::equal(initial.begin(), initial.end(), keys.begin()),
                   "restore: state 0 is not this (algorithm, topology)'s initial state");
 
     // The level-synchronous invariant: expanded states are an id prefix,

@@ -93,7 +93,8 @@ class Model {
   /// entry point for tests and external tooling (the quantitative checker's
   /// unit tests feed 2-3-state systems with known values through this).
   /// `offsets` must have num_states * num_phils + 1 monotone entries ending
-  /// at outcomes.size(); frontier states must have empty rows; every
+  /// at outcomes.size(); frontier states must have empty rows and be an id
+  /// tail, and `truncated` must hold exactly when there are any; every
   /// outcome's `next` must be a valid state id; ids must be a discovery
   /// order (see above). Throws PreconditionError on violations.
   static Model build(int num_phils, common::GrowArray<std::uint64_t> offsets,

@@ -370,19 +370,12 @@ ChunkedModel ChunkedModel::from_model(const Model& model, const KeyCodec& codec,
   return out;
 }
 
-PackedKey ChunkedModel::key(StateId s) const {
-  PackedKey key;
-  key.assign(chunk_of(s).key_run(local_of(s)), codec_.key_words());
-  return key;
-}
-
-std::vector<std::uint64_t> ChunkedModel::flat_keys() const {
-  const std::size_t kw = codec_.key_words();
-  std::vector<std::uint64_t> out;
-  out.reserve(num_states_ * kw);
-  for (std::size_t s = 0; s < num_states_; ++s) {
-    const std::uint64_t* w = chunk_of(static_cast<StateId>(s)).key_run(local_of(static_cast<StateId>(s)));
-    out.insert(out.end(), w, w + kw);
+common::GrowArray<std::uint64_t> ChunkedModel::flat_keys() const {
+  common::GrowArray<std::uint64_t> out;
+  out.reserve(num_states_ * codec_.key_words());
+  for (std::size_t ci = 0; ci < chunks_.size(); ++ci) {
+    const Chunk& c = chunk_of(static_cast<StateId>(ci * chunk_states_));
+    out.append(c.key_run(0), c.key_run(c.count()));
   }
   return out;
 }

@@ -11,7 +11,7 @@
 //   outcomes transition rows; `next` ids stay GLOBAL state ids
 //   eaters   per-state eater masks
 //   frontier per-state unexpanded-frontier bits, packed 64 per word
-//   keys     the states' PackedKey runs, key_words words per state
+//   keys     the states' key runs, key_words words per state
 //
 // and an FNV-1a fingerprint over the payload words. Three contracts:
 //
@@ -57,6 +57,7 @@
 #include <utility>
 #include <vector>
 
+#include "gdp/common/grow_array.hpp"
 #include "gdp/common/thread_annotations.hpp"
 #include "gdp/mdp/end_components.hpp"
 #include "gdp/mdp/fair_progress.hpp"
@@ -251,10 +252,16 @@ class ChunkedModel {
 
   // --- store-specific surface ---
   const KeyCodec& codec() const { return codec_; }
-  PackedKey key(StateId s) const;
+  /// State s's key: a view of its codec().key_words() words in its chunk.
+  /// It stays valid until the model is destroyed or spill() moves a heap
+  /// body to a file; an evicted chunk's words refault when read.
+  std::span<const std::uint64_t> key(StateId s) const {
+    return {chunk_of(s).key_run(local_of(s)), codec_.key_words()};
+  }
   /// Every state key, id-ordered, as one flat run of codec().key_words()
-  /// words per state (the resume path's seed).
-  std::vector<std::uint64_t> flat_keys() const;
+  /// words per state: the resume path's seed, which the explorer's
+  /// StateIndex takes over as its key array.
+  common::GrowArray<std::uint64_t> flat_keys() const;
 
   std::size_t num_chunks() const { return chunks_.size(); }
   std::size_t chunk_states() const { return chunk_states_; }

@@ -10,7 +10,7 @@ namespace gdp::mdp {
 
 WitnessScheduler::WitnessScheduler(const Model& model, const StateIndex& index,
                                    const EndComponent& ec)
-    : model_(model), index_(index) {
+    : model_(model), index_(index), key_(index.key_words()) {
   GDP_CHECK_MSG(!ec.states.empty(), "witness EC is empty");
   in_ec_.assign(model.num_states(), false);
   for (StateId s : ec.states) in_ec_[s] = true;
@@ -69,8 +69,8 @@ bool WitnessScheduler::usable_inside(StateId s, int phil) const {
 
 PhilId WitnessScheduler::pick(const graph::Topology& t, const sim::SimState& state,
                               const sim::RunView& view, rng::RandomSource& rng) {
-  index_.codec().encode(state, key_);
-  const std::optional<StateId> found = index_.find(key_);
+  index_.codec().encode(state, key_.data());
+  const std::optional<StateId> found = index_.find(key_.data());
   if (!found) {
     // Outside the explored model (possible on truncated explorations):
     // behave as a benign uniform scheduler.

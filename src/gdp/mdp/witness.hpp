@@ -60,7 +60,7 @@ class WitnessScheduler final : public sim::Scheduler {
   std::vector<std::int16_t> toward_ec_;
   bool entered_ = false;
   std::uint64_t inside_steps_ = 0;
-  PackedKey key_;
+  std::vector<std::uint64_t> key_;  // pick()'s encode buffer, key_words() words
   std::vector<std::uint64_t> last_inside_pick_;
 };
 

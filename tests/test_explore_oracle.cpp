@@ -4,7 +4,7 @@
 // before its intern became phase-concurrent. mdp::explore_indexed must
 // reproduce the reference Model byte for byte and its StateIndex id for id,
 // at threads {1, 2, 4, hw}: on levels that intern inline, levels that
-// intern in parallel, capped runs, wide (heap-spilled) keys, and a
+// intern in parallel, capped runs, keys of several words, and a
 // store::resume round trip. A synthetic program with chosen level sizes
 // (1, 63, 64, 65 and 130 states) pins the edges of the explorer's 64-state
 // expansion blocks at threads {1, 2, 3, 4}, including a resume from a
@@ -38,13 +38,13 @@ constexpr std::size_t kParallelInternMin = 65'536;
 
 struct Reference {
   Model model;
-  std::vector<PackedKey> keys;          // id -> key
+  std::vector<std::vector<std::uint64_t>> keys;  // id -> key words
   std::size_t max_level_successors = 0;  // widest level, in successors
 };
 
 struct KeyHash {
-  std::size_t operator()(const PackedKey& key) const {
-    return static_cast<std::size_t>(hash_key_words(key.data(), key.words()));
+  std::size_t operator()(const std::vector<std::uint64_t>& key) const {
+    return static_cast<std::size_t>(hash_key_words(key.data(), key.size()));
   }
 };
 
@@ -56,13 +56,14 @@ Reference reference_explore(const algos::Algorithm& algo, const graph::Topology&
                             std::size_t max_states) {
   const KeyCodec codec(algo, t);
   const int n = t.num_phils();
-  std::unordered_map<PackedKey, StateId, KeyHash> index;
+  std::unordered_map<std::vector<std::uint64_t>, StateId, KeyHash> index;
   Reference ref{Model{}, {}, 0};
   std::vector<std::uint64_t> eaters;
   std::vector<std::uint64_t> offsets{0};
   std::vector<Outcome> outcomes;
   const auto intern = [&](const sim::SimState& state) {
-    const PackedKey key = codec.encode(state);
+    std::vector<std::uint64_t> key(codec.key_words());
+    codec.encode(state, key.data());
     const auto [it, inserted] = index.try_emplace(key, static_cast<StateId>(ref.keys.size()));
     if (inserted) {
       ref.keys.push_back(key);
@@ -82,7 +83,7 @@ Reference reference_explore(const algos::Algorithm& algo, const graph::Topology&
     const std::size_t level_end = ref.keys.size();
     const std::size_t outcomes_before = outcomes.size();
     for (std::size_t s = expanded; s < level_end; ++s) {
-      const sim::SimState state = codec.decode(ref.keys[s]);
+      const sim::SimState state = codec.decode(ref.keys[s].data());
       for (PhilId p = 0; p < n; ++p) {
         for (const sim::Branch& b : algo.step(t, state, p)) {
           outcomes.push_back(Outcome{static_cast<float>(b.prob), intern(b.next)});
@@ -138,12 +139,20 @@ void expect_index_matches(const Reference& ref, const StateIndex& index) {
   ASSERT_EQ(index.size(), ref.keys.size());
   const std::size_t kw = index.key_words();
   for (StateId id = 0; id < ref.keys.size(); ++id) {
-    const PackedKey& key = ref.keys[id];
-    ASSERT_EQ(key.words(), kw);
-    ASSERT_TRUE(std::equal(key.data(), key.data() + kw, index.key(id))) << "key of id " << id;
-    const std::optional<StateId> found = index.find(key);
+    const std::vector<std::uint64_t>& key = ref.keys[id];
+    ASSERT_EQ(key.size(), kw);
+    ASSERT_TRUE(std::equal(key.begin(), key.end(), index.key(id))) << "key of id " << id;
+    const std::optional<StateId> found = index.find(key.data());
     ASSERT_TRUE(found.has_value()) << "id " << id;
     ASSERT_EQ(*found, id);
+  }
+}
+
+/// The chunked model's key views hold exactly the reference keys.
+void expect_keys_match(const Reference& ref, const store::ChunkedModel& model) {
+  ASSERT_EQ(model.num_states(), ref.keys.size());
+  for (StateId id = 0; id < ref.keys.size(); ++id) {
+    ASSERT_TRUE(std::ranges::equal(model.key(id), ref.keys[id])) << "key of id " << id;
   }
 }
 
@@ -288,13 +297,7 @@ TEST(ExploreOracle, ResumeFromACheckpointEndingMidBlock) {
     std::remove(path.c_str());
     EXPECT_FALSE(resumed.truncated());
     expect_model_matches(ref.model, resumed);
-    const std::vector<std::uint64_t> keys = resumed.flat_keys();
-    const std::size_t kw = resumed.codec().key_words();
-    ASSERT_EQ(keys.size(), ref.keys.size() * kw);
-    for (std::size_t id = 0; id < ref.keys.size(); ++id) {
-      ASSERT_TRUE(std::equal(ref.keys[id].data(), ref.keys[id].data() + kw, keys.data() + id * kw))
-          << "key of id " << id;
-    }
+    expect_keys_match(ref, resumed);
   }
 }
 
@@ -318,7 +321,8 @@ TEST(ExploreOracle, CappedRun) {
 
 TEST(ExploreOracle, WideBooksKeys) {
   const auto t = graph::star(10);
-  ASSERT_GT(KeyCodec(*algos::make_algorithm("gdp2"), t).key_words(), PackedKey::kInlineWords);
+  // Keys of several words: every word of a run is hashed, compared, copied.
+  ASSERT_GT(KeyCodec(*algos::make_algorithm("gdp2"), t).key_words(), 3u);
   const Reference ref = expect_matches_oracle("gdp2", t, 30'000);
   EXPECT_TRUE(ref.model.truncated());
   EXPECT_GE(ref.max_level_successors, kParallelInternMin);
@@ -339,13 +343,7 @@ TEST(ExploreOracle, StoreResumeRoundTrip) {
     const store::ChunkedModel resumed =
         store::resume(*algo, t, capped, {}, {.threads = threads, .max_states = 300'000});
     expect_model_matches(ref.model, resumed);
-    const std::vector<std::uint64_t> keys = resumed.flat_keys();
-    const std::size_t kw = resumed.codec().key_words();
-    ASSERT_EQ(keys.size(), ref.keys.size() * kw);
-    for (std::size_t id = 0; id < ref.keys.size(); ++id) {
-      ASSERT_TRUE(std::equal(ref.keys[id].data(), ref.keys[id].data() + kw, keys.data() + id * kw))
-          << "key of id " << id;
-    }
+    expect_keys_match(ref, resumed);
   }
 }
 

@@ -5,6 +5,7 @@
 // regression for the guest-book fields.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <map>
 #include <optional>
@@ -14,6 +15,7 @@
 
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/common/check.hpp"
+#include "gdp/common/grow_array.hpp"
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/key.hpp"
 #include "gdp/mdp/witness.hpp"
@@ -25,6 +27,13 @@
 
 namespace gdp::mdp {
 namespace {
+
+/// `state`'s key as a vector of its key_words() words.
+std::vector<std::uint64_t> key_of(const KeyCodec& codec, const sim::SimState& state) {
+  std::vector<std::uint64_t> key(codec.key_words());
+  codec.encode(state, key.data());
+  return key;
+}
 
 /// Collects distinct reachable configurations by driving the live engine
 /// with seeded Rng streams under benign and adversarial schedulers.
@@ -65,23 +74,18 @@ void expect_round_trip_and_injective(const std::string& algo_name, const graph::
   ASSERT_GT(states.size(), 20u) << "sample too small to mean anything";
 
   // Injectivity through a map of decoded states: distinct SimStates must
-  // produce distinct PackedKeys, and each stored key must decode back to
-  // exactly the SimState that produced it.
-  std::map<std::vector<std::uint8_t>, sim::SimState> decoded_by_words;
+  // produce distinct keys, and each stored key must decode back to exactly
+  // the SimState that produced it.
+  std::map<std::vector<std::uint64_t>, sim::SimState> decoded_by_words;
   for (const sim::SimState& state : states) {
-    PackedKey key;
-    codec.encode(state, key);
-    ASSERT_EQ(key.words(), codec.key_words());
+    const std::vector<std::uint64_t> key = key_of(codec, state);
 
-    const sim::SimState decoded = codec.decode(key);
+    const sim::SimState decoded = codec.decode(key.data());
     ASSERT_EQ(decoded, state) << "decode is not the inverse of encode";
     // Re-encoding the decoded state reproduces the key bit for bit.
-    ASSERT_TRUE(codec.encode(decoded) == key);
+    ASSERT_EQ(key_of(codec, decoded), key);
 
-    const std::vector<std::uint8_t> words(
-        reinterpret_cast<const std::uint8_t*>(key.data()),
-        reinterpret_cast<const std::uint8_t*>(key.data() + key.words()));
-    const auto [it, inserted] = decoded_by_words.emplace(words, decoded);
+    const auto [it, inserted] = decoded_by_words.emplace(key, decoded);
     if (!inserted) {
       ASSERT_EQ(it->second, state) << "two distinct states packed to the same key";
     }
@@ -238,7 +242,7 @@ TEST(KeyCodec, LayoutWidthsSharedFork) {
 
 // --- The memory claim the refactor was for. ---
 
-TEST(KeyCodec, PackedKeysAtLeastHalveLr2Parallel4Keys) {
+TEST(KeyCodec, KeyWordsAtLeastHalveLr2Parallel4Keys) {
   const auto t = graph::parallel_arcs(4);
   const KeyCodec codec(*algos::make_algorithm("lr2"), t);
   // Legacy: 2 forks x (12 + 4 ranks) + 4 phils x 4 = 48 bytes (plus the
@@ -246,19 +250,6 @@ TEST(KeyCodec, PackedKeysAtLeastHalveLr2Parallel4Keys) {
   EXPECT_EQ(codec.legacy_key_bytes(), 48u);
   EXPECT_EQ(codec.key_bytes(), 8u);
   EXPECT_GE(codec.legacy_key_bytes(), 2 * codec.key_bytes());
-}
-
-TEST(KeyCodec, InlineBufferCoversTheBenchFamilies) {
-  // The families the benches model-check stay within the inline words — no
-  // per-key heap allocation on those hot paths.
-  for (const auto& [algo, t] : std::vector<std::pair<std::string, graph::Topology>>{
-           {"lr2", graph::parallel_arcs(4)},
-           {"gdp2", graph::classic_ring(5)},
-           {"lr1", graph::fig1a()},
-           {"gdp1", graph::theta(1, 1, 2)}}) {
-    const KeyCodec codec(*algos::make_algorithm(algo), t);
-    EXPECT_LE(codec.key_words(), PackedKey::kInlineWords) << algo << " on " << t.name();
-  }
 }
 
 // --- Degree-cap regression (the legacy encode size byte). ---
@@ -276,9 +267,7 @@ TEST(KeyCodec, BooksAtTheDegreeCap64) {
     state.fork(0).requests |= std::uint64_t{1} << t.slot_of(0, p);
   }
   // Every rank distinct, all 64 request bits set: the widest center field.
-  PackedKey key;
-  codec.encode(state, key);
-  EXPECT_EQ(codec.decode(key), state);
+  EXPECT_EQ(codec.decode(key_of(codec, state).data()), state);
 
   std::vector<std::uint8_t> legacy;
   state.encode(legacy);  // size byte 64: fine
@@ -297,19 +286,18 @@ TEST(KeyCodec, RefusesOutOfContractFields) {
   // than alias.
   sim::SimState state = lr1->initial_state(t);
   state.phil(0).scratch = 1;
-  PackedKey key;
-  EXPECT_THROW(codec.encode(state, key), PreconditionError);
+  EXPECT_THROW(key_of(codec, state), PreconditionError);
 
   // Aux words outside [-1, n-1] are outside the init_aux contract.
   const auto ticket = algos::make_algorithm("ticket");
   const KeyCodec ticket_codec(*ticket, t);
   sim::SimState boxed = ticket->initial_state(t);
   boxed.aux[0] = t.num_phils();
-  EXPECT_THROW(ticket_codec.encode(boxed, key), PreconditionError);
+  EXPECT_THROW(key_of(ticket_codec, boxed), PreconditionError);
 
-  // Decoding a key of the wrong width is refused, as is an unset codec.
-  EXPECT_THROW(codec.decode(PackedKey(codec.key_words() + 1)), PreconditionError);
-  EXPECT_THROW(KeyCodec().decode(PackedKey(1)), PreconditionError);
+  // Decoding with an unset codec is refused.
+  const std::uint64_t word = 0;
+  EXPECT_THROW(KeyCodec().decode(&word), PreconditionError);
 }
 
 TEST(KeyCodec, RefusesNumberingRangeBeyond16Bits) {
@@ -332,46 +320,13 @@ TEST(KeyCodec, RefusesNumberingRangeBeyond16Bits) {
   EXPECT_EQ(codec_edge.nr_bits(), 16u);
 }
 
-TEST(PackedKey, ValueSemanticsAcrossTheHeapBoundary) {
-  // Inline (1 word) and heap (> kInlineWords) keys: copy, move, equality.
-  PackedKey small(1);
-  small.data()[0] = 0xdeadbeefULL;
-  PackedKey small2 = small;
-  EXPECT_TRUE(small == small2);
-  small2.data()[0] ^= 1;
-  EXPECT_FALSE(small == small2);
-
-  PackedKey big(PackedKey::kInlineWords + 2);
-  for (std::size_t i = 0; i < big.words(); ++i) big.data()[i] = 0x1111ULL * (i + 1);
-  PackedKey big2 = big;
-  EXPECT_TRUE(big == big2);
-  const PackedKey big3 = std::move(big2);
-  EXPECT_TRUE(big == big3);
-  EXPECT_FALSE(big == small);
-
-  // Distinct widths never compare equal, even when the prefix matches.
-  PackedKey two(2);
-  two.data()[0] = small.data()[0];
-  EXPECT_FALSE(two == small);
-
-  // Assignment across the inline/heap boundary in both directions.
-  PackedKey k = big;
-  k = small;
-  EXPECT_TRUE(k == small);
-  k = big;
-  EXPECT_TRUE(k == big);
-}
-
 // --- StateIndex: the explorers' flat-keys, sharded-slots state table. ---
 
 /// A StateIndex over `states` in the given order (ids 0, 1, ...), built
 /// through restore() from their flat keys.
 StateIndex index_of(const KeyCodec& codec, const std::vector<sim::SimState>& states) {
-  std::vector<std::uint64_t> flat;
-  for (const sim::SimState& state : states) {
-    const PackedKey key = codec.encode(state);
-    flat.insert(flat.end(), key.data(), key.data() + key.words());
-  }
+  common::GrowArray<std::uint64_t> flat;
+  for (const sim::SimState& state : states) codec.encode(state, flat.grow(codec.key_words()));
   StateIndex index;
   index.restore(codec, std::move(flat));
   return index;
@@ -390,20 +345,19 @@ TEST(StateIndex, FindsEveryStoredKeyAndNoAbsentOne) {
   EXPECT_GT(index.slot_bytes(), 0u);
 
   for (std::size_t id = 0; id < stored.size(); ++id) {
-    EXPECT_EQ(index.count(stored[id]), 1u);
     const std::optional<StateId> found = index.find(stored[id]);
     ASSERT_TRUE(found.has_value());
     EXPECT_EQ(*found, id);
+    EXPECT_TRUE(index.find(key_of(codec, stored[id]).data()) == found);
   }
-  // Absent: the held-back state, a key of the wrong width, an empty index.
+  // Absent: the held-back state, and anything in an empty index.
   const sim::SimState& absent = states.back();
-  EXPECT_EQ(index.count(absent), 0u);
   EXPECT_FALSE(index.find(absent).has_value());
-  EXPECT_FALSE(index.find(PackedKey(codec.key_words() + 1)).has_value());
+  EXPECT_FALSE(index.find(key_of(codec, absent).data()).has_value());
   StateIndex empty;
   empty.reset(codec);
   EXPECT_TRUE(empty.empty());
-  EXPECT_EQ(empty.count(stored.front()), 0u);
+  EXPECT_FALSE(empty.find(stored.front()).has_value());
 }
 
 TEST(StateIndex, IteratesInIdOrder) {
@@ -412,14 +366,15 @@ TEST(StateIndex, IteratesInIdOrder) {
   const KeyCodec codec(*algo, t);
   const auto states = reachable_sample(*algo, t, 8'000);
   const StateIndex index = index_of(codec, states);
-  StateId expected = 0;
-  for (const auto& [key, id] : index) {
-    ASSERT_EQ(id, expected);
-    EXPECT_TRUE(key == codec.encode(states[id]));
+  ASSERT_EQ(index.size(), states.size());
+  const std::size_t kw = index.key_words();
+  ASSERT_EQ(index.flat_keys().size(), states.size() * kw);
+  for (StateId id = 0; id < index.size(); ++id) {
+    const std::vector<std::uint64_t> key = key_of(codec, states[id]);
+    EXPECT_TRUE(std::equal(key.begin(), key.end(), index.key(id))) << "state " << id;
+    EXPECT_EQ(index.key(id), index.flat_keys().data() + id * kw);
     EXPECT_EQ(codec.decode(index.key(id)), states[id]);
-    ++expected;
   }
-  EXPECT_EQ(expected, states.size());
 }
 
 TEST(StateIndex, RestoreRefusesDuplicateKeys) {
@@ -433,8 +388,9 @@ TEST(StateIndex, RestoreRefusesDuplicateKeys) {
   // A word count that is not whole keys is refused too.
   const KeyCodec wide(*algos::make_algorithm("gdp2"), graph::star(4));
   ASSERT_GT(wide.key_words(), 1u);
+  const std::vector<std::uint64_t> zeros(wide.key_words() + 1, 0);
   StateIndex index;
-  EXPECT_THROW(index.restore(wide, std::vector<std::uint64_t>(wide.key_words() + 1, 0)),
+  EXPECT_THROW(index.restore(wide, common::GrowArray<std::uint64_t>(zeros.data(), zeros.size())),
                PreconditionError);
 }
 

@@ -201,6 +201,26 @@ TEST(Reachability, ModelBuildRequiresDiscoveryOrder) {
   EXPECT_THROW(three_states(2, 1, 1), PreconditionError);
 }
 
+TEST(Explore, ModelBuildRequiresTruncatedExactlyWithAFrontierTail) {
+  // 0 -> 1, and state 1 was never explored: a model that is told it is
+  // complete would be certified over a state nobody expanded.
+  const auto two_states = [](std::vector<bool> frontier, bool truncated) {
+    return Model::build(1, {0, 1, 1}, {{1.0f, 1}}, {0, 0}, std::move(frontier), truncated);
+  };
+  EXPECT_THROW(two_states({false, true}, false), PreconditionError);
+  const Model capped = two_states({false, true}, true);
+  EXPECT_TRUE(capped.truncated());
+  EXPECT_EQ(check_fair_progress(capped).verdict, Verdict::kUnknownTruncated);
+  // Truncated without a frontier state is refused too.
+  EXPECT_THROW(Model::build(1, {0, 1, 2}, {{1.0f, 1}, {1.0f, 0}}, {0, 0}, {false, false}, true),
+               PreconditionError);
+  // Frontier states must be the id tail: here frontier state 1 precedes
+  // expanded state 2.
+  EXPECT_THROW(Model::build(1, {0, 2, 2, 3}, {{0.5f, 1}, {0.5f, 2}, {1.0f, 0}}, {0, 0, 0},
+                            {false, true, false}, true),
+               PreconditionError);
+}
+
 TEST(EndComponents, OrderedBaselineDeadlockAppearsAsFairEc) {
   // The ticket baseline's circular-wait deadlock on fig1a is an all-phil
   // self-loop state: exactly a fair end component of size >= 1.

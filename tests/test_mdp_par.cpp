@@ -57,9 +57,9 @@ void expect_models_bit_identical(const Model& ref, const Model& model, int threa
 
 void expect_indexes_equal(const StateIndex& ref, const StateIndex& index) {
   ASSERT_EQ(ref.size(), index.size());
-  ASSERT_EQ(ref.flat_keys(), index.flat_keys());
-  for (const auto& [key, id] : ref) {
-    const std::optional<StateId> found = index.find(key);
+  ASSERT_TRUE(std::ranges::equal(ref.flat_keys(), index.flat_keys()));
+  for (StateId id = 0; id < ref.size(); ++id) {
+    const std::optional<StateId> found = index.find(ref.key(id));
     ASSERT_TRUE(found.has_value()) << "state " << id;
     EXPECT_EQ(*found, id);
   }

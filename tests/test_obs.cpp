@@ -301,9 +301,10 @@ TEST_F(ObsTest, StoreCountersPinnedOnThreeStateModel) {
   const auto key_algo = algos::make_algorithm("lr1");
   const auto key_topo = graph::classic_ring(3);
   const mdp::KeyCodec codec(*key_algo, key_topo);
-  const mdp::PackedKey key = codec.encode(key_algo->initial_state(key_topo));
-  std::vector<std::uint64_t> keys;
-  for (int s = 0; s < 3; ++s) keys.insert(keys.end(), key.data(), key.data() + key.words());
+  std::vector<std::uint64_t> keys(3 * codec.key_words());
+  for (std::size_t s = 0; s < 3; ++s) {
+    codec.encode(key_algo->initial_state(key_topo), keys.data() + s * codec.key_words());
+  }
   mdp::store::StoreOptions options;
   options.chunk_states = 2;  // 3 states -> chunks of 2 + 1
   auto chunked = mdp::store::ChunkedModel::from_model(model, codec, keys, options);

@@ -26,6 +26,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +35,7 @@
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/graph/builders.hpp"
 #include "gdp/mdp/store/store.hpp"
+#include "gdp/mdp/witness.hpp"
 #include "gdp/obs/obs.hpp"
 #include "verdict_expect.hpp"
 
@@ -259,14 +261,14 @@ TEST(Store, SpillPreservesEveryObservation) {
   expect_matches_model(spilled, model);
 
   // Keys survive the spill too (the resume path reads them from chunks).
-  const std::vector<std::uint64_t> keys = spilled.flat_keys();
+  const common::GrowArray<std::uint64_t> keys = spilled.flat_keys();
+  const common::GrowArray<std::uint64_t> resident_keys = chunked.flat_keys();
   const std::size_t kw = spilled.codec().key_words();
   ASSERT_EQ(keys.size(), model.num_states() * kw);
-  ASSERT_EQ(keys, chunked.flat_keys());
+  ASSERT_TRUE(std::ranges::equal(keys, resident_keys));
   for (StateId s = 0; s < model.num_states(); ++s) {
-    PackedKey key;
-    key.assign(keys.data() + s * kw, kw);
-    ASSERT_EQ(spilled.key(s), key) << "state " << s;
+    ASSERT_TRUE(std::ranges::equal(spilled.key(s), std::span(keys.data() + s * kw, kw)))
+        << "state " << s;
   }
 }
 
@@ -766,6 +768,24 @@ TEST(Store, BoundedResidencyCapsResidentSetWithoutChangingVerdicts) {
   }
   EXPECT_LE(bounded.peak_resident_bytes(), budget * max_chunk_bytes);
   EXPECT_LE(bounded.resident_bytes(), budget * max_chunk_bytes);
+
+  // Key views read the chunks' own words: every state's key, across every
+  // seam, is the one the explorer's StateIndex holds, and a view taken
+  // before a sweep that evicts its chunk still reads the same words after
+  // (they refault from the spill file).
+  StateIndex index;
+  (void)explore_indexed(*algo, t, index);
+  ASSERT_EQ(index.size(), bounded.num_states());
+  const std::size_t kw = index.key_words();
+  const auto index_key = [&](StateId s) { return std::span(index.key(s), kw); };
+  const std::span<const std::uint64_t> first_key = bounded.key(0);
+  const std::uint64_t evictions_before_keys = evictions.value();
+  for (StateId s = 0; s < bounded.num_states(); ++s) {
+    ASSERT_TRUE(std::ranges::equal(bounded.key(s), index_key(s))) << "state " << s;
+  }
+  EXPECT_GT(evictions.value(), evictions_before_keys);
+  EXPECT_TRUE(std::ranges::equal(first_key, index_key(0)));
+  EXPECT_TRUE(std::ranges::equal(bounded.key(0), index_key(0)));
 
   // Eviction is invisible to the verdicts: same results as unbounded.
   StoreOptions unbounded_opts = bounded_opts;
