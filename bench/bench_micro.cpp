@@ -23,6 +23,7 @@
 #include "gdp/rng/rng.hpp"
 #include "gdp/sim/engine.hpp"
 #include "gdp/sim/schedulers/basic.hpp"
+#include "gdp/sim/schedulers/eat_avoider.hpp"
 
 namespace {
 
@@ -70,11 +71,18 @@ void BM_AlgorithmStep(benchmark::State& state) {
 }
 BENCHMARK(BM_AlgorithmStep)->ArgsProduct({{0, 1}, {0, 1}});
 
+// Args: ring size, algorithm (0 = gdp1, 1 = gdp2, 2 = lr2), scheduler
+// (0 = uniform, 1 = eat-avoider, whose every pick looks ahead at each
+// philosopher's pending step). Items are engine steps.
 void BM_EngineSteps(benchmark::State& state) {
-  const auto algo = algos::make_algorithm("gdp1");
+  const std::array<const char*, 3> names = {"gdp1", "gdp2", "lr2"};
+  const auto algo = algos::make_algorithm(names[static_cast<std::size_t>(state.range(1))]);
   const auto t = graph::classic_ring(static_cast<int>(state.range(0)));
+  const bool eat_avoider = state.range(2) == 1;
   for (auto _ : state) {
-    sim::RandomUniform sched;
+    sim::RandomUniform uniform;
+    sim::EatAvoider avoider(*algo);
+    sim::Scheduler& sched = eat_avoider ? static_cast<sim::Scheduler&>(avoider) : uniform;
     rng::Rng rng(7);
     sim::EngineConfig cfg;
     cfg.max_steps = 10'000;
@@ -82,7 +90,9 @@ void BM_EngineSteps(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 10'000);
 }
-BENCHMARK(BM_EngineSteps)->Arg(4)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_EngineSteps)
+    ->ArgsProduct({{4, 16, 64}, {0, 1, 2}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 // Args: ring size, explorer threads (0 = hardware concurrency).
 void BM_MdpExplore(benchmark::State& state) {

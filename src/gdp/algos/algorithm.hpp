@@ -113,11 +113,20 @@ class Algorithm {
   /// reusing one scratch across calls pays no allocation once it has the
   /// state's shape. `next` is either `state` itself (a busy-wait self-loop)
   /// or `scratch`, and is valid only during the sink call: a sink that needs
-  /// the successor later copies it.
+  /// the successor later copies it, or swaps the scratch out for storage of
+  /// the same shape.
+  ///
+  /// Every hot caller steps through this form: the explorer (one scratch
+  /// per expansion block, successors encoded in the sink), the simulator
+  /// sim::run (branches swapped into a reused buffer) and its deadlock probe
+  /// (the same buffer), and the lookahead adversaries EatAvoider and
+  /// StarveVictim (flags computed in the sink over their own scratch).
   virtual void step(const graph::Topology& t, const sim::SimState& state, PhilId p,
                     sim::SimState& scratch, BranchSink& sink) const = 0;
 
-  /// The branches of step(t, state, p, scratch, sink), collected.
+  /// The branches of step(t, state, p, scratch, sink), collected: a
+  /// convenience for tests, examples and one-off replays, which allocates a
+  /// vector and one successor state per branch.
   std::vector<sim::Branch> step(const graph::Topology& t, const sim::SimState& state,
                                 PhilId p) const;
 

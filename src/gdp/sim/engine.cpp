@@ -1,6 +1,8 @@
 #include "gdp/sim/engine.hpp"
 
 #include <algorithm>
+#include <span>
+#include <utility>
 
 #include "gdp/common/check.hpp"
 
@@ -15,7 +17,7 @@ bool RunResult::everyone_ate() const {
   return std::all_of(meals_of.begin(), meals_of.end(), [](std::uint64_t m) { return m > 0; });
 }
 
-const Branch& sample_branch(const std::vector<Branch>& branches, rng::RandomSource& rng) {
+const Branch& sample_branch(std::span<const Branch> branches, rng::RandomSource& rng) {
   GDP_DCHECK(!branches.empty());
   if (branches.size() == 1) return branches.front();
 
@@ -47,11 +49,77 @@ const Branch& sample_branch(const std::vector<Branch>& branches, rng::RandomSour
 
 namespace {
 
+/// The branches of one step, collected into slots that keep their SimState
+/// storage from step to step. A successor built in the scratch is swapped
+/// into its slot, which hands the scratch the slot's old storage (the step
+/// contract lets a sink move from the scratch); a branch whose `next` is the
+/// stepped state itself is flagged instead of copied. Once every slot has
+/// held a successor, filling the buffer allocates nothing.
+class BranchBuffer final : public algos::BranchSink {
+ public:
+  /// Replaces the contents with the branches of `p`'s step from `state`,
+  /// which must outlive every later read of them.
+  void fill(const algos::Algorithm& algo, const graph::Topology& t, const SimState& state,
+            PhilId p) {
+    state_ = &state;
+    size_ = 0;
+    algo.step(t, state, p, scratch_, *this);
+  }
+
+  void operator()(double prob, const StepEvent& event, const SimState& next) override {
+    if (size_ == slots_.size()) {
+      slots_.emplace_back();
+      is_state_.push_back(false);
+    }
+    Branch& slot = slots_[size_];
+    slot.prob = prob;
+    slot.event = event;
+    is_state_[size_] = &next == state_;
+    if (!is_state_[size_]) {
+      GDP_DCHECK(&next == &scratch_);
+      std::swap(slot.next, scratch_);
+    }
+    ++size_;
+  }
+
+  /// The branches; the `next` of a flagged one is stale (see next()).
+  std::span<const Branch> branches() const { return {slots_.data(), size_}; }
+
+  /// True iff branch i's successor is the stepped state itself.
+  bool is_state(std::size_t i) const { return is_state_[i]; }
+
+  /// Branch i's successor.
+  const SimState& next(std::size_t i) const { return is_state_[i] ? *state_ : slots_[i].next; }
+
+  /// Makes `state`, the stepped state, branch i's successor; the slot keeps
+  /// the old storage for a later step.
+  void advance(std::size_t i, SimState& state) {
+    GDP_DCHECK(&state == state_);
+    if (!is_state_[i]) std::swap(state, slots_[i].next);
+  }
+
+  /// True iff every branch leaves the stepped state unchanged.
+  bool self_loop() const {
+    for (std::size_t i = 0; i < size_; ++i) {
+      if (!is_state_[i] && !(slots_[i].next == *state_)) return false;
+    }
+    return true;
+  }
+
+ private:
+  std::vector<Branch> slots_;
+  std::vector<bool> is_state_;
+  std::size_t size_ = 0;
+  SimState scratch_;
+  const SimState* state_ = nullptr;
+};
+
 /// True iff no philosopher can change the configuration: a real deadlock.
 bool all_self_loops(const algos::Algorithm& algo, const graph::Topology& t,
-                    const SimState& state) {
+                    const SimState& state, BranchBuffer& buffer) {
   for (PhilId p = 0; p < t.num_phils(); ++p) {
-    if (!is_self_loop(state, algo.step(t, state, p))) return false;
+    buffer.fill(algo, t, state, p);
+    if (!buffer.self_loop()) return false;
   }
   return true;
 }
@@ -75,6 +143,7 @@ RunResult run(const algos::Algorithm& algo, const graph::Topology& t, Scheduler&
   std::vector<std::uint64_t> hungry_since(n, kNever);
   std::uint64_t consecutive_self_loops = 0;
 
+  BranchBuffer buffer;
   RunView view;
   view.steps_of = &steps_of;
   view.last_scheduled = &last_scheduled;
@@ -86,9 +155,12 @@ RunResult run(const algos::Algorithm& algo, const graph::Topology& t, Scheduler&
     const PhilId p = sched.pick(t, state, view, rng);
     GDP_CHECK_MSG(p >= 0 && p < t.num_phils(), sched.name() << " picked invalid philosopher " << p);
 
-    const std::vector<Branch> branches = algo.step(t, state, p);
+    buffer.fill(algo, t, state, p);
+    const std::span<const Branch> branches = buffer.branches();
     const Branch& chosen = sample_branch(branches, rng);
-    const bool unchanged = chosen.next == state;
+    const auto c = static_cast<std::size_t>(&chosen - branches.data());
+    const SimState& next = buffer.next(c);  // valid until buffer.advance()
+    const bool unchanged = buffer.is_state(c) || next == state;
 
     // Bookkeeping before the state moves on.
     result.max_sched_gap = std::max(result.max_sched_gap, step - last_scheduled[p]);
@@ -112,7 +184,7 @@ RunResult run(const algos::Algorithm& algo, const graph::Topology& t, Scheduler&
       }
       case EventKind::kGranted:
         // Arbiter grants both forks at once: that is the meal start.
-        if (chosen.next.phil(p).phase == Phase::kEating) {
+        if (next.phil(p).phase == Phase::kEating) {
           ++result.total_meals;
           ++result.meals_of[p];
           if (result.first_meal_step == kNever) result.first_meal_step = step;
@@ -129,7 +201,7 @@ RunResult run(const algos::Algorithm& algo, const graph::Topology& t, Scheduler&
 
     if (config.record_trace) result.trace.push_back(TraceEntry{step, p, chosen.event});
 
-    state = chosen.next;
+    buffer.advance(c, state);
     sched.observe(t, state, p, chosen.event);
     result.steps = step + 1;
 
@@ -141,7 +213,7 @@ RunResult run(const algos::Algorithm& algo, const graph::Topology& t, Scheduler&
     // Deadlock probe: only bother once every philosopher in a row was stuck.
     consecutive_self_loops = unchanged ? consecutive_self_loops + 1 : 0;
     if (consecutive_self_loops >= static_cast<std::uint64_t>(t.num_phils()) &&
-        all_self_loops(algo, t, state)) {
+        all_self_loops(algo, t, state, buffer)) {
       result.deadlocked = true;
       break;
     }

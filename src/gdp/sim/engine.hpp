@@ -5,13 +5,22 @@
 //
 // The engine also measures everything the experiments need: meals (global
 // and per philosopher), time-to-first-eat, hunger spans (lockout metrics),
-// scheduling gaps (fairness), and it detects true deadlocks (every
-// philosopher's next step is a pure busy-wait self-loop — possible only for
-// the hold-and-wait baselines).
+// scheduling gaps, and it detects true deadlocks (every philosopher's next
+// step is a pure busy-wait self-loop — possible only for the hold-and-wait
+// baselines).
+//
+// The run steps the algorithm through its sink form (Algorithm::step over a
+// scratch state), as the explorer does: the branches land in a reused buffer
+// whose slots keep their SimState storage, the sampled successor is swapped
+// into the current state, and the deadlock probe steps through the same
+// buffer. After warm-up a run allocates nothing per step, unless it records
+// a trace or checks invariants. The lookahead adversaries (EatAvoider,
+// StarveVictim) step through a sink over their own scratch in the same way.
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -60,8 +69,12 @@ struct RunResult {
   /// second fork), per philosopher; an unfinished hunger at run end counts.
   std::vector<std::uint64_t> max_hunger_of;
 
-  /// Largest gap between consecutive steps of the same philosopher
-  /// (a bounded gap certifies the executed prefix was fair).
+  /// Largest number of steps from one step of a philosopher to its next,
+  /// where a philosopher's first step counts from step 0. A philosopher
+  /// that is never scheduled adds nothing, and the stretch from a
+  /// philosopher's last step to the end of the run is not counted, so a
+  /// small value does not show that the run was fair: a philosopher
+  /// starved from some point on goes unseen.
   std::uint64_t max_sched_gap = 0;
 
   /// True if the run ended in a state where every philosopher's step is a
@@ -84,8 +97,9 @@ struct RunResult {
 RunResult run(const algos::Algorithm& algo, const graph::Topology& t, Scheduler& sched,
               rng::RandomSource& rng, const EngineConfig& config);
 
-/// Single-step helper shared with the replayer: samples one branch of
-/// `p`'s step distribution using `rng`.
-const Branch& sample_branch(const std::vector<Branch>& branches, rng::RandomSource& rng);
+/// Samples one branch of a step's distribution using `rng`; run() and the
+/// replayers share it, so they make the same draws in the same order. Reads
+/// each branch's prob and event only, never its `next`.
+const Branch& sample_branch(std::span<const Branch> branches, rng::RandomSource& rng);
 
 }  // namespace gdp::sim

@@ -7,14 +7,12 @@
 namespace gdp::sim {
 namespace {
 
-/// Could this step complete a meal on some branch?
-bool step_may_eat(const std::vector<Branch>& branches) {
-  return std::any_of(branches.begin(), branches.end(), [](const Branch& b) {
-    return b.event.kind == EventKind::kTookSecond ||
-           (b.event.kind == EventKind::kGranted &&
-            std::any_of(b.next.phils.begin(), b.next.phils.end(),
-                        [](const PhilState& ps) { return ps.phase == Phase::kEating; }));
-  });
+/// Does this branch complete a meal?
+bool completes_meal(const StepEvent& event, const SimState& next) {
+  return event.kind == EventKind::kTookSecond ||
+         (event.kind == EventKind::kGranted &&
+          std::any_of(next.phils.begin(), next.phils.end(),
+                      [](const PhilState& ps) { return ps.phase == Phase::kEating; }));
 }
 
 }  // namespace
@@ -34,10 +32,18 @@ PhilId EatAvoider::pick(const graph::Topology& t, const SimState& state, const R
                         rng::RandomSource& /*rng*/) {
   const int n = t.num_phils();
 
-  // Evaluate every philosopher's pending step once.
-  std::vector<std::vector<Branch>> steps;
-  steps.reserve(static_cast<std::size_t>(n));
-  for (PhilId p = 0; p < n; ++p) steps.push_back(algo_.step(t, state, p));
+  // Evaluate every philosopher's pending step once, through a sink that
+  // keeps only the two flags the policy reads.
+  lookahead_.assign(static_cast<std::size_t>(n), Lookahead{});
+  Lookahead* look = nullptr;
+  algos::SinkFn probe([&](double, const StepEvent& event, const SimState& next) {
+    look->may_eat = look->may_eat || completes_meal(event, next);
+    look->self_loop = look->self_loop && (&next == &state || next == state);
+  });
+  for (PhilId p = 0; p < n; ++p) {
+    look = &lookahead_[static_cast<std::size_t>(p)];
+    algo_.step(t, state, p, scratch_, probe);
+  }
 
   auto gap_of = [&](PhilId p) {
     const auto idx = static_cast<std::size_t>(p);
@@ -48,7 +54,7 @@ PhilId EatAvoider::pick(const graph::Topology& t, const SimState& state, const R
   // 1. Fairness first: a philosopher at the hard cap runs now, no matter what.
   for (PhilId p = 0; p < n; ++p) {
     if (gap_of(p) >= hard_cap_) {
-      if (step_may_eat(steps[static_cast<std::size_t>(p)])) ++forced_unsafe_;
+      if (lookahead_[static_cast<std::size_t>(p)].may_eat) ++forced_unsafe_;
       return p;
     }
   }
@@ -73,8 +79,8 @@ PhilId EatAvoider::pick(const graph::Topology& t, const SimState& state, const R
   int best_score = -1;
   std::uint64_t best_gap = 0;
   for (PhilId p = 0; p < n; ++p) {
-    const auto& branches = steps[static_cast<std::size_t>(p)];
-    if (step_may_eat(branches)) continue;
+    const Lookahead& la = lookahead_[static_cast<std::size_t>(p)];
+    if (la.may_eat) continue;
 
     int score = 1;
     const PhilState& ps = state.phil(p);
@@ -84,7 +90,7 @@ PhilId EatAvoider::pick(const graph::Topology& t, const SimState& state, const R
         score = 3;  // rescuer: takes a fork somebody is about to eat with
       }
     }
-    if (score == 1 && is_self_loop(state, branches) && gap_of(p) >= soft_window_) {
+    if (score == 1 && la.self_loop && gap_of(p) >= soft_window_) {
       score = 2;  // parked busy-waiter overdue for a fairness step
     }
 

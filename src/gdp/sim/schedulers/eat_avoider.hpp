@@ -17,6 +17,8 @@
 //   * GDP1/GDP2 anywhere           -> meals always happen (Theorems 3/4).
 #pragma once
 
+#include <vector>
+
 #include "gdp/algos/algorithm.hpp"
 #include "gdp/sim/scheduler.hpp"
 
@@ -50,6 +52,15 @@ class EatAvoider final : public Scheduler {
   std::uint64_t soft_window_ = 0;
   std::uint64_t hard_cap_ = 0;
   std::uint64_t forced_unsafe_ = 0;
+
+  /// What one philosopher's pending step can do.
+  struct Lookahead {
+    bool may_eat = false;   // some branch completes a meal
+    bool self_loop = true;  // every branch leaves the state unchanged
+  };
+  /// pick()'s working storage, reused so a pick allocates nothing once warm.
+  std::vector<Lookahead> lookahead_;
+  SimState scratch_;
 };
 
 }  // namespace gdp::sim

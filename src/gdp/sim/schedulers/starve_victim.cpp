@@ -25,16 +25,13 @@ PhilId StarveVictim::pick(const graph::Topology& t, const SimState& state, const
 
   // Schedule the victim when it is harmless (cannot complete a meal this
   // step) and overdue relative to the others, or when fairness forces it.
-  const auto branches = algo_.step(t, state, victim);
-  const bool victim_may_eat = [&] {
-    for (const Branch& b : branches) {
-      if (b.event.kind == EventKind::kTookSecond) return true;
-      if (b.event.kind == EventKind::kGranted && b.next.phil(victim).phase == Phase::kEating) {
-        return true;
-      }
-    }
-    return false;
-  }();
+  bool victim_may_eat = false;
+  algos::SinkFn probe([&](double, const StepEvent& event, const SimState& next) {
+    victim_may_eat = victim_may_eat || event.kind == EventKind::kTookSecond ||
+                     (event.kind == EventKind::kGranted &&
+                      next.phil(victim).phase == Phase::kEating);
+  });
+  algo_.step(t, state, victim, scratch_, probe);
 
   if (victim_gap >= hard_cap_) return victim;  // fairness wins; meal may happen
   if (!victim_may_eat && victim_gap >= static_cast<std::uint64_t>(2 * t.num_phils())) {
@@ -55,7 +52,6 @@ PhilId StarveVictim::pick(const graph::Topology& t, const SimState& state, const
       best_key = key;
     }
   }
-  (void)state;
   return best == kNoPhil ? victim : best;
 }
 

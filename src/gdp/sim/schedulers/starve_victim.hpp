@@ -39,6 +39,8 @@ class StarveVictim final : public Scheduler {
   const algos::Algorithm& algo_;
   Config config_;
   std::uint64_t hard_cap_ = 0;
+  /// pick()'s lookahead scratch, reused so a pick allocates nothing once warm.
+  SimState scratch_;
 };
 
 }  // namespace gdp::sim

@@ -34,11 +34,4 @@ std::string StepEvent::to_string() const {
   return out;
 }
 
-bool is_self_loop(const SimState& current, const std::vector<Branch>& branches) {
-  for (const Branch& b : branches) {
-    if (!(b.next == current)) return false;
-  }
-  return true;
-}
-
 }  // namespace gdp::sim

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "gdp/common/ids.hpp"
 #include "gdp/sim/state.hpp"
@@ -48,9 +47,5 @@ struct Branch {
   StepEvent event;
   SimState next;
 };
-
-/// True if every branch leaves the configuration unchanged (a pure busy-wait
-/// step). Used by the engine's deadlock detector.
-bool is_self_loop(const SimState& current, const std::vector<Branch>& branches);
 
 }  // namespace gdp::sim
